@@ -16,7 +16,7 @@ import (
 // The sync experiment measures the multi-core sync engine over the
 // public API: one store with an all-dirty keyspace ticks against a TCP
 // sink at each shard-work pool width, so a row's tick time covers the
-// whole outbound path — engine sync, item encoding, digest recompute,
+// whole outbound path — engine sync, item encoding, digest refresh,
 // frame packing, enqueue — and the sweep's ratios are the pool's
 // wall-clock scaling on this host. The serial row (workers=1) is the
 // pre-pool behavior and the speedup baseline.

@@ -229,9 +229,9 @@ func WithSnapshotEvery(d time.Duration) Option { return func(o *options) { o.cfg
 
 // WithSyncWorkers bounds the shard-work pool: the number of workers the
 // CPU-heavy per-shard stages — the sync tick (engine sync plus item
-// encoding), digest vector recompute, Merkle leaf recompute, and
-// snapshot encoding — fan out across. 1 pins every stage to the calling
-// goroutine, the serial behavior; the default (0) uses GOMAXPROCS.
+// encoding), snapshot encoding, and the Keys and Memory walks — fan out
+// across. 1 pins every stage to the calling goroutine, the serial
+// behavior; the default (0) uses GOMAXPROCS.
 // The setting never changes what goes on the wire: workers capture
 // per-shard output and each tick merges it in shard order before frames
 // are packed, so frame bytes are identical at any worker count.

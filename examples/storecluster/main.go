@@ -48,9 +48,9 @@ func main() {
 		// goroutine, so one slow replica can never stall frames to the
 		// healthy ones.
 		crdtsync.WithQueueBudget(*peerQueue, 0),
-		// The CPU-heavy per-shard stages of every tick — engine sync,
-		// item encoding, digest recompute — fan out across a bounded
-		// worker pool; frame bytes are identical at any width.
+		// The CPU-heavy per-shard stages of every tick — engine sync
+		// and item encoding — fan out across a bounded worker pool;
+		// frame bytes are identical at any width.
 		crdtsync.WithSyncWorkers(*syncWorkers),
 	)
 	if err != nil {

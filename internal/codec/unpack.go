@@ -122,16 +122,17 @@ func (v *FrameView) NumItems() int { return len(v.items) }
 
 // reset clears the view for reuse, releasing references to previously
 // decoded messages and the previous frame's buffer so a pooled view never
-// pins a dead frame or its states.
+// pins a dead frame or its states. Only [0:len) of items and sorted is
+// ever written, and every reset zeroes it, so the tail past len is
+// already zero: clearing just the used prefix keeps a small frame's
+// reset cheap after a large frame grew the arrays.
 func (v *FrameView) reset() {
 	v.Cost = metrics.Transmission{}
 	v.Digests = v.Digests[:0]
 	v.Dropped = 0
-	items := v.items[:cap(v.items)]
-	clear(items)
+	clear(v.items)
 	v.items = v.items[:0]
-	sorted := v.sorted[:cap(v.sorted)]
-	clear(sorted)
+	clear(v.sorted)
 	v.sorted = v.sorted[:0]
 	v.groups = v.groups[:0]
 }

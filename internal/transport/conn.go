@@ -123,15 +123,21 @@ type peerConn struct {
 	state      string
 	backoff    time.Duration
 	hadFailure bool // a dial/write failed since the last success
-	stats      PeerStats
+	// attempted is set once the first write attempt has finished. Until
+	// then the queue is bounded by bytes only: the frames a store
+	// produces while its first dial is in flight — ticks, digests and
+	// replies from several goroutines at once — must not evict each
+	// other toward a peer that may be perfectly healthy.
+	attempted bool
+	stats     PeerStats
 }
 
 // enqueue appends one frame, evicting oldest queued frames while either
-// the frame-count cap or the byte budget is exceeded — except the frame
-// just enqueued, so one frame above the byte budget still ships instead
-// of wedging the pipeline. It never blocks: overflow is data loss for the
-// engines or digest anti-entropy to repair, not backpressure onto the
-// sync tick.
+// the frame-count cap (once the first write attempt has finished) or the
+// byte budget is exceeded — except the frame just enqueued, so one frame
+// above the byte budget still ships instead of wedging the pipeline. It
+// never blocks: overflow is data loss for the engines or digest
+// anti-entropy to repair, not backpressure onto the sync tick.
 func (pc *peerConn) enqueue(data []byte) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -142,7 +148,14 @@ func (pc *peerConn) enqueue(data []byte) {
 	pc.stats.EnqueuedBytes += len(data)
 	pc.queue = append(pc.queue, data)
 	pc.qbytes += len(data)
-	for len(pc.queue) > 1 && (len(pc.queue) > pc.qcfg.frames || pc.qbytes > pc.qcfg.bytes) {
+	pc.evictLocked()
+	pc.cond.Signal()
+}
+
+// evictLocked drops oldest queued frames until the queue is within its
+// bounds. Caller holds pc.mu.
+func (pc *peerConn) evictLocked() {
+	for len(pc.queue) > 1 && ((pc.attempted && len(pc.queue) > pc.qcfg.frames) || pc.qbytes > pc.qcfg.bytes) {
 		old := pc.queue[0]
 		pc.queue[0] = nil
 		pc.queue = pc.queue[1:]
@@ -150,7 +163,6 @@ func (pc *peerConn) enqueue(data []byte) {
 		pc.stats.Dropped++
 		pc.stats.DroppedBytes += len(old)
 	}
-	pc.cond.Signal()
 }
 
 // run is the writer goroutine: it drains the queue — coalescing queued
@@ -288,6 +300,7 @@ func (pc *peerConn) write(frame []byte, frames, bytes int) bool {
 func (pc *peerConn) markHealthy() {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	pc.attempted = true
 	pc.backoff = 0
 	if pc.hadFailure {
 		pc.stats.Reconnects++
@@ -332,10 +345,16 @@ func (pc *peerConn) disconnect(conn net.Conn) {
 	}
 }
 
+// dropFrames records a failed attempt's frames as dropped. A failed
+// first attempt also ends the start-up grace: the backlog it let build
+// is trimmed to the frame bound in the same lock hold, so a dead peer
+// never holds more than the bounded queue.
 func (pc *peerConn) dropFrames(frames, bytes int) {
 	pc.mu.Lock()
 	pc.stats.Dropped += frames
 	pc.stats.DroppedBytes += bytes
+	pc.attempted = true
+	pc.evictLocked()
 	pc.mu.Unlock()
 }
 
@@ -375,11 +394,10 @@ func (pc *peerConn) snapshot() PeerStats {
 	return s
 }
 
-// peerNet owns the connection plumbing shared by Node and Store: the
-// listener, one outbound write pipeline per peer, accepted inbound
-// connections, and the accept/read loops that decode frames into protocol
-// messages. Owners supply a deliver callback and keep their own
-// synchronization loops.
+// peerNet owns a Store's connection plumbing: the listener, one outbound
+// write pipeline per peer, accepted inbound connections, and the
+// accept/read loops that hand frames to the store. The store supplies a
+// deliver callback and keeps its own synchronization loop.
 type peerNet struct {
 	id       string
 	dial     DialFunc

@@ -2,17 +2,20 @@ package transport_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
+	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
 
-// dialNode opens a raw TCP connection to a node's listener.
+// dialNode opens a raw TCP connection to a store's listener.
 func dialNode(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -33,60 +36,45 @@ func expectDrop(t *testing.T, conn net.Conn) {
 	}
 }
 
+// TestNodeDropsOversizedFrame: a length prefix beyond the 64 MiB cap
+// must get the connection dropped without the store allocating the
+// claimed buffer, and the store must stay healthy.
 func TestNodeDropsOversizedFrame(t *testing.T) {
-	nodes := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
-	conn := dialNode(t, nodes[0].Addr())
+	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	conn := dialNode(t, stores[0].Addr())
 	defer conn.Close()
-	// A length prefix beyond the 64 MiB cap must get the connection
-	// dropped without the node allocating the claimed buffer.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<30)
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
 	expectDrop(t, conn)
-	// The node is still healthy: real traffic converges.
-	nodes[1].Update(workload.Op{Kind: workload.KindAdd, Elem: "alive"})
-	waitConverged(t, nodes, crdt.NewGSet("alive"), 5*time.Second)
+	// The store is still healthy: real traffic converges.
+	stores[1].Update(workload.Op{Kind: workload.KindInc, Key: "alive", N: 1})
+	waitStoresConverged(t, stores, 1, 5*time.Second)
 }
 
+// TestNodeDropsCorruptFrame: a well-framed message the codec cannot
+// parse gets the connection dropped, and the store stays healthy.
 func TestNodeDropsCorruptFrame(t *testing.T) {
-	nodes := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
-	conn := dialNode(t, nodes[0].Addr())
+	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	conn := dialNode(t, stores[0].Addr())
 	defer conn.Close()
 	// Well-framed garbage: valid length and sender id, unparseable
 	// message body (unknown codec tag).
-	body := []byte{0, 2, 'z', 'z', 250, 1, 2, 3}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	conn.Write(hdr[:])
-	conn.Write(body)
+	writeRawFrame(t, conn, []byte{0, 2, 'z', 'z', 250, 1, 2, 3})
 	expectDrop(t, conn)
-	nodes[0].Update(workload.Op{Kind: workload.KindAdd, Elem: "still-up"})
-	waitConverged(t, nodes, crdt.NewGSet("still-up"), 5*time.Second)
+	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "still-up", N: 1})
+	waitStoresConverged(t, stores, 1, 5*time.Second)
 }
 
-func TestNodeCloseWhilePeerMidFrame(t *testing.T) {
-	nodes := startCluster(t, 1, nil, protocol.NewDeltaBPRR())
-	conn := dialNode(t, nodes[0].Addr())
-	defer conn.Close()
-	// Send only a header promising 100 bytes: the node's readLoop parks
-	// in io.ReadFull. Close must still return promptly.
+// writeRawFrame writes one frame body behind its 4-byte length prefix.
+func writeRawFrame(t *testing.T, conn net.Conn, body []byte) {
+	t.Helper()
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 100)
-	if _, err := conn.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	if _, err := conn.Write(append(hdr[:], body...)); err != nil {
 		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let the readLoop pick up the conn
-	done := make(chan error, 1)
-	go func() { done <- nodes[0].Close() }()
-	select {
-	case err := <-done:
-		if err != nil && !isUseOfClosed(err) {
-			t.Errorf("close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on a peer stuck mid-frame")
 	}
 }
 
@@ -123,25 +111,30 @@ func TestStoreCloseWhilePeerMidFrame(t *testing.T) {
 }
 
 func TestStoreIgnoresNonShardedFrames(t *testing.T) {
-	// A store receiving a frame that decodes to a non-sharded message
-	// (e.g. from a plain Node misconfigured to peer with it) ignores the
-	// message and keeps the connection.
+	// A well-formed message of a kind stores do not speak (a plain
+	// single-object delta) is ignored: the store keeps the connection
+	// and keeps syncing its own keyspace.
 	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
-	node, err := transport.Start(transport.Config{
-		ID:         "legacy",
-		ListenAddr: "127.0.0.1:0",
-		Peers:      map[string]string{stores[0].ID(): stores[0].Addr()},
-		Datatype:   workload.GSetType{},
-		Factory:    protocol.NewDeltaBPRR(),
-		SyncEvery:  time.Hour,
-	})
+	conn := dialNode(t, stores[0].Addr())
+	defer conn.Close()
+	st := crdt.NewGSet("x")
+	msg, err := codec.EncodeMsg(protocol.NewDeltaMsg(st, metrics.Transmission{Messages: 1, Elements: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
-	node.Update(workload.Op{Kind: workload.KindAdd, Elem: "x"})
-	node.SyncNow() // delivers a DeltaMsg frame to the store
-	// The store must stay healthy and keep syncing its own keyspace.
+	from := "legacy"
+	body := append([]byte{byte(len(from) >> 8), byte(len(from))}, from...)
+	writeRawFrame(t, conn, append(body, msg...))
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	var one [1]byte
+	if _, err := conn.Read(one[:]); !isTimeout(err) {
+		t.Errorf("read after a non-sharded frame: %v, want a timeout (connection kept)", err)
+	}
 	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "k", N: 1})
 	waitStoresConverged(t, stores, 1, 5*time.Second)
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

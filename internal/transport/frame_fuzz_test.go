@@ -24,7 +24,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})     // length far beyond the cap
 	f.Add([]byte{0, 0, 0, 5, 0, 9, 'x', 'y'}) // sender length past the body
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, msg, err := readFrame(bytes.NewReader(data))
+		from, msg, err := readFrameInto(bytes.NewReader(data), new([]byte))
 		if err != nil {
 			return // rejected input: the interesting part is not crashing
 		}
@@ -32,7 +32,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err := writeFrame(&buf, from, msg); err != nil {
 			t.Fatalf("re-encoding an accepted frame failed: %v", err)
 		}
-		from2, msg2, err := readFrame(&buf)
+		from2, msg2, err := readFrameInto(&buf, new([]byte))
 		if err != nil {
 			t.Fatalf("re-reading a re-encoded frame failed: %v", err)
 		}

@@ -13,7 +13,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, "node-7", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	from, msg, err := readFrame(&buf)
+	from, msg, err := readFrameInto(&buf, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestReadFrameTooLarge(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], maxFrameBytes+1)
-	_, _, err := readFrame(bytes.NewReader(hdr[:]))
+	_, _, err := readFrameInto(bytes.NewReader(hdr[:]), new([]byte))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -38,7 +38,7 @@ func TestReadFrameTruncated(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], 100)
 	buf.Write(hdr[:])
 	buf.Write(make([]byte, 10))
-	if _, _, err := readFrame(&buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := readFrameInto(&buf, new([]byte)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestReadFrameBadSenderLength(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 		buf.Write(hdr[:])
 		buf.Write(body)
-		if _, _, err := readFrame(&buf); err == nil {
+		if _, _, err := readFrameInto(&buf, new([]byte)); err == nil {
 			t.Errorf("body %v: want error, got nil", body)
 		}
 	}
@@ -64,7 +64,7 @@ func TestReadFrameBadSenderLength(t *testing.T) {
 
 func TestTransmitToUnknownPeerIsDropped(t *testing.T) {
 	// Transmitting to a peer id that is not configured must fail cleanly
-	// rather than panicking or blocking; Node and Store drop the frame.
+	// rather than panicking or blocking; the Store drops the frame.
 	// There is no write pipeline for an unknown peer — pipelines are
 	// fixed at construction.
 	p := newPeerNet("a", map[string]string{}, nil, nil, queueConfig{})

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -78,121 +77,136 @@ type treeBitmap [protocol.TreeLeaves / 64]uint64
 func (t *treeBitmap) set(i uint32)      { t[i/64] |= 1 << (i % 64) }
 func (t *treeBitmap) has(i uint32) bool { return t[i/64]&(1<<(i%64)) != 0 }
 
-// leafKeyHash is one key's contribution to its leaf: an FNV-1a fold
-// over (key bytes, canonical encoding). Leaves combine contributions by
-// XOR (an empty leaf is 0) — order-independent, so the recompute can
-// fan contiguous key ranges across the shard-work pool and merge the
-// workers' private vectors with a word-wise XOR, while replicas holding
-// equal contents still produce equal leaves regardless of key order.
-// Leaf hashes are only ever compared between replicas running the same
-// code, so the combining rule is free to change between versions.
+// leafKeyHash is one key's hash: an FNV-1a fold over (key bytes,
+// canonical encoding). A leaf is the XOR of the hashes of the keys
+// bucketed into it (an empty leaf is 0), an interior node the XOR of its
+// leaf range, and the shard digest the XOR of every key's hash — the
+// tree's root. XOR is order-independent, so replicas holding equal
+// contents produce equal hashes regardless of key order, and one key's
+// change patches every level with old^new (incremental hashing in the
+// sense of Bellare and Micciancio). The fold is not cryptographic: it
+// detects divergence between honest replicas, nothing more. Hashes are
+// only ever compared between replicas running the same code, so the
+// combining rule is free to change between versions.
 func leafKeyHash(k string, enc []byte) uint64 {
 	return fnvFold(fnvFoldString(fnvOffset64, k), enc)
 }
 
-// ensureLeavesLocked (re)computes the shard's leaf-hash vector if a
-// mutation invalidated it, serially. Caller holds sh.mu. Large shards
-// go through Store.ensureLeaves, which fans the same computation across
-// the shard-work pool.
-func (sh *shard) ensureLeavesLocked() {
-	if sh.leafOK {
-		return
-	}
-	if sh.leaf == nil {
-		sh.leaf = make([]uint64, protocol.TreeLeaves)
-	} else {
-		clear(sh.leaf)
-	}
-	scratch := getEncodeBuf()
-	for _, k := range sh.engine.Keys() {
-		scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
-		sh.leaf[treeLeafIdx(k)] ^= leafKeyHash(k, scratch)
-	}
-	putEncodeBuf(scratch)
-	sh.leafOK = true
+// keyHash is one key's cached hash as of the last refresh (0 before its
+// first). next links the entries marked since then into the shard's
+// changed list; it is nil while the entry is not on the list, and the
+// list ends at changedEnd, never at nil. Linking through the entries
+// keeps marking allocation-free and costs no memory beyond the entry.
+type keyHash struct {
+	key  string
+	hash uint64
+	next *keyHash
 }
 
-// leafParallelMinKeys is the shard key count from which the leaf
-// recompute fans key ranges across the pool; below it the split and
-// merge overhead outweighs the hashing saved.
-const leafParallelMinKeys = 4096
+// changedEnd terminates every shard's changed list.
+var changedEnd = new(keyHash)
 
-// ensureLeaves (re)computes sh's leaf vector if invalid, using the
-// shard-work pool for large shards. Caller holds sh.mu; the workers
-// only read the engine (Keys returns the live slice, ObjectState is a
-// map lookup), which the held lock keeps stable. Each worker folds a
-// contiguous key range into a private pooled vector and the merge XORs
-// them — identical to the serial result because XOR commutes.
-func (s *Store) ensureLeaves(sh *shard) {
-	if sh.leafOK {
-		return
+// markKey records that key's state may have changed, so the next refresh
+// rehashes it. Only a key's first appearance allocates. Caller holds
+// sh.mu.
+func (sh *shard) markKey(key string) {
+	e := sh.hashes[key]
+	if e == nil {
+		e = &keyHash{key: key}
+		sh.hashes[key] = e
 	}
-	keys := sh.engine.Keys()
-	if s.workers <= 1 || len(keys) < leafParallelMinKeys {
-		sh.ensureLeavesLocked()
-		return
-	}
-	if sh.leaf == nil {
-		sh.leaf = make([]uint64, protocol.TreeLeaves)
-	} else {
-		clear(sh.leaf)
-	}
-	n := s.workers
-	chunk := (len(keys) + n - 1) / n
-	parts := make([][]uint64, n)
-	s.runWorkers(n, func(worker int) {
-		lo := worker * chunk
-		hi := min(lo+chunk, len(keys))
-		if lo >= hi {
-			return
-		}
-		vec := s.getLeafVec()
-		scratch := getEncodeBuf()
-		for _, k := range keys[lo:hi] {
-			scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
-			vec[treeLeafIdx(k)] ^= leafKeyHash(k, scratch)
-		}
-		putEncodeBuf(scratch)
-		parts[worker] = vec
-	})
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for j, v := range part {
-			sh.leaf[j] ^= v
-		}
-		s.putLeafVec(part)
-	}
-	sh.leafOK = true
+	sh.markEntry(e)
 }
 
-// treeNodeHash folds a node's leaf range into one interior hash:
-// FNV-1a over the big-endian words of its leaves. At the leaf level the
-// range has one element and the hash is the leaf itself.
-func treeNodeHash(leaves []uint64) uint64 {
-	if len(leaves) == 1 {
-		return leaves[0]
+// markKeyBytes is markKey for a key still aliasing a frame buffer: the
+// lookup converts it in place, so marking a known key allocates nothing.
+func (sh *shard) markKeyBytes(key []byte) {
+	if e := sh.hashes[string(key)]; e != nil {
+		sh.markEntry(e)
+		return
 	}
-	h := uint64(fnvOffset64)
-	var w [8]byte
-	for _, l := range leaves {
-		binary.BigEndian.PutUint64(w[:], l)
-		h = fnvFold(h, w[:])
+	sh.markKey(string(key))
+}
+
+func (sh *shard) markEntry(e *keyHash) {
+	if e.next != nil {
+		return // already on the changed list
 	}
-	return h
+	e.next = sh.changed
+	sh.changed = e
+	sh.digestOK.Store(false)
+}
+
+// refreshLocked rehashes the keys marked since the last refresh, patches
+// the digest — and the leaf vector, once one exists — with old^new, and
+// returns the current digest. Its cost is proportional to the keys that
+// changed, not to the shard. Caller holds sh.mu.
+func (sh *shard) refreshLocked() uint64 {
+	root := sh.digest.Load()
+	if sh.changed == changedEnd {
+		return root
+	}
+	for e := sh.changed; e != changedEnd; {
+		sh.scratch = codec.AppendState(sh.scratch[:0], sh.engine.ObjectState(e.key))
+		h := leafKeyHash(e.key, sh.scratch)
+		if d := e.hash ^ h; d != 0 {
+			root ^= d
+			if sh.leaf != nil {
+				sh.leaf[treeLeafIdx(e.key)] ^= d
+			}
+			e.hash = h
+		}
+		next := e.next
+		e.next = nil
+		e = next
+	}
+	sh.changed = changedEnd
+	sh.digest.Store(root)
+	sh.digestOK.Store(true)
+	return root
+}
+
+// contentDigest returns the shard's current digest: lock-free while no
+// key is marked changed — the common case on an idle keyspace — else
+// after a refresh under the shard lock.
+func (sh *shard) contentDigest() uint64 {
+	if sh.digestOK.Load() {
+		return sh.digest.Load()
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.refreshLocked()
+}
+
+// leavesLocked returns the shard's current leaf vector. The first
+// drill-down builds it from the cached key hashes without re-encoding a
+// state; every later refresh patches it in place. Caller holds sh.mu.
+func (sh *shard) leavesLocked() []uint64 {
+	sh.refreshLocked()
+	if sh.leaf == nil {
+		sh.leaf = make([]uint64, protocol.TreeLeaves)
+		for k, e := range sh.hashes {
+			sh.leaf[treeLeafIdx(k)] ^= e.hash
+		}
+	}
+	return sh.leaf
 }
 
 // treeNodeHashes appends the shard's hashes for the given node indices
 // at level (indices already validated against the level's node count).
+// A node's hash is the XOR of its leaf range; at the leaf level the range
+// is the leaf itself.
 func (s *Store) treeNodeHashes(sh *shard, level int, nodes []uint32, out []uint64) []uint64 {
 	span := protocol.TreeLeafSpan(level)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.ensureLeaves(sh)
+	leaves := sh.leavesLocked()
 	for _, idx := range nodes {
-		lo := idx * span
-		out = append(out, treeNodeHash(sh.leaf[lo:lo+span]))
+		h := uint64(0)
+		for _, l := range leaves[idx*span : (idx+1)*span] {
+			h ^= l
+		}
+		out = append(out, h)
 	}
 	return out
 }
@@ -305,7 +319,7 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 	var flat []uint32
 	deduped := 0
 	for i, sh := range s.shards {
-		if s.shardDigest(sh) == digests[i] {
+		if sh.contentDigest() == digests[i] {
 			s.repair.clear(i)
 			continue
 		}

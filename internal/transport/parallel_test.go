@@ -129,15 +129,14 @@ func TestParallelTickFramesByteIdentical(t *testing.T) {
 }
 
 // TestParallelStagesMatchSerial loads identical content into a serial
-// and a 4-worker store and checks every pooled read-side stage returns
-// the same result: key listing, memory accounting, the root digest, the
-// Merkle leaf vector (one shard with enough keys to cross the parallel
-// threshold), and the snapshot files on disk.
+// and a 4-worker store and checks every read-side result agrees: key
+// listing, memory accounting, the root digest, the Merkle leaf vector of
+// one large shard, and the snapshot files on disk.
 func TestParallelStagesMatchSerial(t *testing.T) {
 	dirS, dirP := t.TempDir(), t.TempDir()
 	serial := newPoolStore(t, 1, 1, dirS)
 	parallel := newPoolStore(t, 4, 1, dirP)
-	const keys = leafParallelMinKeys + 1000
+	const keys = 5000
 	for k := 0; k < keys; k++ {
 		op := workload.Add(fmt.Sprintf("key-%05d", k), "e")
 		serial.Update(op)
@@ -159,11 +158,10 @@ func TestParallelStagesMatchSerial(t *testing.T) {
 		sh := s.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		s.ensureLeaves(sh)
-		return slices.Clone(sh.leaf)
+		return slices.Clone(sh.leavesLocked())
 	}
 	if !slices.Equal(leafOf(parallel), leafOf(serial)) {
-		t.Fatal("Merkle leaf vectors differ between serial and parallel recompute")
+		t.Fatal("Merkle leaf vectors differ between serial and parallel stores")
 	}
 	if err := serial.SnapshotNow(); err != nil {
 		t.Fatalf("serial SnapshotNow: %v", err)

@@ -207,6 +207,75 @@ func TestStoreSlowPeerIsolation(t *testing.T) {
 	}
 }
 
+// TestStoreFirstDialBurstIsNotDropped is the regression test for the
+// start-up burst: a store produces frames faster than its first dial
+// completes (on several cores, ticks, digests and replies race toward a
+// peer whose pipeline is still connecting), and drop-oldest used to
+// evict them toward a perfectly healthy peer. With the first dial held
+// open, more than PeerQueueLen frames pile up; once it completes every
+// one of them must ship — no drops, and with plain deltas and no
+// digests, every key must arrive on the first pass.
+func TestStoreFirstDialBurstIsNotDropped(t *testing.T) {
+	const (
+		queueLen = 4
+		ticks    = 3 * queueLen
+	)
+	release := make(chan struct{})
+	var dials atomic.Int32
+	heldDial := func(id, addr string) (net.Conn, error) {
+		if dials.Add(1) == 1 {
+			<-release
+		}
+		return net.DialTimeout("tcp", addr, 2*time.Second)
+	}
+	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
+		Shards:       8,
+		Factory:      protocol.NewDeltaBPRR(),
+		ObjType:      gcounters,
+		SyncEvery:    time.Hour, // ticks driven manually
+		PeerQueueLen: queueLen,
+	}, func(i int, id string, cfg *transport.StoreConfig) {
+		if id == "s-00" {
+			cfg.Dial = heldDial
+		}
+	})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(open) // runs before the stores close, so no writer stays parked
+
+	for i := 0; i < ticks; i++ {
+		stores[0].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", i), N: 1})
+		stores[0].SyncNow()
+		if i == 0 {
+			// Hold the burst until the writer is parked in its first dial.
+			for deadline := time.Now().Add(5 * time.Second); dials.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the pipeline never dialed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	if ps := stores[0].Stats().Peers["s-01"]; ps.Enqueued != ticks {
+		t.Fatalf("enqueued %d frames during the first dial, want %d", ps.Enqueued, ticks)
+	}
+	open()
+	waitQueuesDrained(t, stores[0], 10*time.Second)
+	if ps := stores[0].Stats().Peers["s-01"]; ps.Dropped != 0 {
+		t.Errorf("dropped %d of %d frames queued during the first dial, want 0", ps.Dropped, ps.Enqueued)
+	}
+	for i := 0; i < ticks; i++ {
+		key := fmt.Sprintf("key-%03d", i)
+		deadline := time.Now().Add(5 * time.Second)
+		for stores[1].Get(key) == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached s-01", key)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+}
+
 // TestStoreQueueOverflowReconnectAndRepair pins the bounded-queue
 // arithmetic and the reconnect path: against an unreachable peer the
 // pipeline must keep at most PeerQueueLen+1 frames alive (everything else

@@ -12,16 +12,17 @@ import (
 )
 
 // This file is the shard-work pool: the bounded set of workers the
-// CPU-heavy per-shard stages — the sync tick, digest vector recompute,
-// Merkle leaf recompute, and snapshot encoding — fan out across. Shards
-// were designed as independent lock domains precisely so these stages
-// parallelize: nothing crosses shards until frames are packed per
+// CPU-heavy per-shard stages — the sync tick with its item encoding,
+// snapshot encoding, and the Keys and Memory walks — fan out across.
+// Shards were designed as independent lock domains precisely so these
+// stages parallelize: nothing crosses shards until frames are packed per
 // destination or files are written, so workers claim shards off a
 // shared cursor, do each shard's work under that shard's own lock, and
 // a single coordinator merges the results in shard order wherever
 // ordering is observable (frame bytes, file writes). One worker means
 // every stage runs inline on the calling goroutine — the pre-pool
-// serial behavior, byte for byte.
+// serial behavior, byte for byte. Digests and Merkle leaves need no
+// stage: each shard patches them incrementally from its changed keys.
 
 // syncWorkersEnv overrides the default pool width when
 // StoreConfig.SyncWorkers is unset — a test-harness knob (CI runs the
@@ -44,46 +45,18 @@ func resolveSyncWorkers(configured int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runWorkers runs fn(worker) on up to n of the store's workers
-// concurrently, the calling goroutine serving as worker 0 — so a
-// one-worker store spawns no goroutines and a stage never costs more
-// than its serial form plus two clock reads. Each worker's busy time
-// accumulates into the per-worker stats, where skew between workers is
-// visible.
-func (s *Store) runWorkers(n int, fn func(worker int)) {
-	if n > s.workers {
-		n = s.workers
-	}
-	if n <= 1 {
-		start := time.Now()
-		fn(0)
-		s.workerBusy[0].Add(int64(time.Since(start)))
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for w := 1; w < n; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			start := time.Now()
-			fn(worker)
-			s.workerBusy[worker].Add(int64(time.Since(start)))
-		}(w)
-	}
-	start := time.Now()
-	fn(0)
-	s.workerBusy[0].Add(int64(time.Since(start)))
-	wg.Wait()
-}
-
-// runShardStage fans fn(worker, shard) over the whole shard index space:
-// workers claim indices off a shared atomic cursor, so load balances
-// dynamically — a worker stuck on one huge shard never strands the
-// shards behind it. Per-worker claim counts feed the skew stats.
+// runShardStage fans fn(worker, shard) over the whole shard index space
+// on up to s.workers workers, the calling goroutine serving as worker 0 —
+// so a one-worker store spawns no goroutines and a stage never costs
+// more than its serial form plus two clock reads. Workers claim indices
+// off a shared atomic cursor, so load balances dynamically: a worker
+// stuck on one huge shard never strands the shards behind it. Per-worker
+// claim counts and busy time feed the skew stats.
 func (s *Store) runShardStage(fn func(worker, shard int)) {
 	n := len(s.shards)
 	var cursor atomic.Int64
-	s.runWorkers(n, func(worker int) {
+	work := func(worker int) {
+		start := time.Now()
 		claimed := uint64(0)
 		for {
 			i := int(cursor.Add(1)) - 1
@@ -96,7 +69,19 @@ func (s *Store) runShardStage(fn func(worker, shard int)) {
 		if claimed > 0 {
 			s.workerShards[worker].Add(claimed)
 		}
-	})
+		s.workerBusy[worker].Add(int64(time.Since(start)))
+	}
+	workers := min(n, s.workers)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			work(worker)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
 }
 
 // tickEmit is one engine emission captured during a parallel tick,
@@ -158,51 +143,6 @@ func (s *Store) getDigestVec() []uint64 {
 func (s *Store) putDigestVec(v []uint64) {
 	select {
 	case s.digestVecs <- v:
-	default:
-	}
-}
-
-// getLeafVec hands out a zeroed leaf-hash vector (protocol.TreeLeaves
-// words) for one worker's private XOR accumulation during a parallel
-// leaf recompute.
-func (s *Store) getLeafVec() []uint64 {
-	select {
-	case v := <-s.leafVecs:
-		clear(v)
-		return v
-	default:
-		return make([]uint64, protocol.TreeLeaves)
-	}
-}
-
-func (s *Store) putLeafVec(v []uint64) {
-	select {
-	case s.leafVecs <- v:
-	default:
-	}
-}
-
-// encodeScratch recycles the per-shard state-encode buffers the digest
-// and Merkle-leaf recomputes reuse across keys. A bounded global free
-// list: a burst of concurrent recomputes across many stores can pin at
-// most this many buffers.
-var encodeScratch = make(chan []byte, 16)
-
-func getEncodeBuf() []byte {
-	select {
-	case b := <-encodeScratch:
-		return b
-	default:
-		return nil
-	}
-}
-
-func putEncodeBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	select {
-	case encodeScratch <- b[:0]:
 	default:
 	}
 }

@@ -54,7 +54,12 @@ func deliverEager(s *Store, from string, msg protocol.Msg) {
 			sh := s.shards[idx]
 			sh.mu.Lock()
 			sh.engine.Deliver(from, it.Msg, b.sender(it.Shard))
-			sh.markDirty()
+			if bm, ok := it.Msg.(*protocol.BatchMsg); ok {
+				for _, om := range bm.Items {
+					sh.markKey(om.Key)
+				}
+			}
+			sh.dirty.Store(true)
 			sh.mu.Unlock()
 		}
 		if s.hasWatchers() {
@@ -107,7 +112,7 @@ func eagerCompareDigests(s *Store, digests []uint64) *protocol.DigestMsg {
 	}
 	var want []uint32
 	for i, sh := range s.shards {
-		if s.shardDigest(sh) != digests[i] {
+		if sh.contentDigest() != digests[i] {
 			want = append(want, uint32(i))
 		}
 	}

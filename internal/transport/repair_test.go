@@ -317,6 +317,32 @@ func TestDigestShardMismatchCounted(t *testing.T) {
 	}
 }
 
+// TestServeWantsSharesFrames pins how a full-shard Want is answered:
+// the requested shards share bounded frames, so a Want for many small
+// shards costs one frame, not a burst of one frame per shard that could
+// overflow the requester's queue and drop frames on a healthy link.
+func TestServeWantsSharesFrames(t *testing.T) {
+	s := newTickStore(t, 1, protocol.NewDeltaBPRR())
+	for i := 0; i < 1024; i++ {
+		s.Update(workload.Add(fmt.Sprintf("k%04d", i), "v"))
+	}
+	want := make([]uint32, len(s.shards))
+	for i := range want {
+		want[i] = uint32(i)
+	}
+	d := getDeliverState()
+	defer d.release()
+	before := s.Stats()
+	s.serveWants("p1", want, d.seenShards(len(s.shards)))
+	after := s.Stats()
+	if got := after.RepairShards - before.RepairShards; got != len(s.shards) {
+		t.Fatalf("served %d shards, want %d", got, len(s.shards))
+	}
+	if got := after.Frames - before.Frames; got != 1 {
+		t.Errorf("a Want for %d small shards went out as %d frames, want 1", len(s.shards), got)
+	}
+}
+
 // TestServeWantsHostileNoAllocs extends the hostile-Want defense to the
 // allocation budget: a Want list of duplicate and out-of-range indices
 // must be served (with nothing to ship) without a single allocation —
@@ -447,8 +473,7 @@ func TestTreeLeafHashesMatchAcrossReplicas(t *testing.T) {
 		sh := s.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		sh.ensureLeavesLocked()
-		return append([]uint64(nil), sh.leaf...)
+		return append([]uint64(nil), sh.leavesLocked()...)
 	}
 	la, lb := leavesOf(a), leavesOf(b)
 	for i := range la {

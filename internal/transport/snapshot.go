@@ -116,15 +116,14 @@ func (s *Store) SnapshotNow() error {
 // encodeShardSnapshot serializes one shard under a single lock hold, so
 // the digest recorded against snapLast and the contents on disk are the
 // same cut. changed is false when the shard's digest equals its last
-// written snapshot's — nothing to do. A zero digest on a never-written
-// shard is indistinguishable from "no snapshot yet" only if the shard's
-// actual digest is zero too, in which case its contents are what the
-// empty file would restore anyway (the FNV basis of an empty shard is
-// nonzero, so in practice every shard writes once).
+// written snapshot's — nothing to do. An empty shard's digest is 0, the
+// zero value of a never-written snapLast entry, so an empty shard writes
+// no file: restoring a missing file restores nothing, the same as
+// restoring an empty one.
 func (s *Store) encodeShardSnapshot(i int, sh *shard) (data []byte, digest uint64, changed bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	d := sh.digestLocked()
+	d := sh.refreshLocked()
 	if d == s.snapLast[i] {
 		return nil, d, false
 	}
@@ -208,7 +207,8 @@ func (s *Store) restoreSnapshots() {
 			if or, ok := sh.engine.(protocol.ObjectRestorer); ok {
 				sh.mu.Lock()
 				or.RestoreObject(r.key, r.st)
-				sh.markDirty()
+				sh.markKey(r.key)
+				sh.dirty.Store(true)
 				sh.mu.Unlock()
 			}
 		}

@@ -113,9 +113,9 @@ type StoreConfig struct {
 	// loads and no I/O.
 	SnapshotEvery time.Duration
 	// SyncWorkers bounds the shard-work pool: the workers the CPU-heavy
-	// per-shard stages (the sync tick, digest vector recompute, Merkle
-	// leaf recompute, snapshot encoding) fan out across. 1 pins every
-	// stage to the calling goroutine — the pre-pool serial behavior.
+	// per-shard stages (the sync tick with its item encoding, snapshot
+	// encoding, and the Keys and Memory walks) fan out across. 1 pins
+	// every stage to the calling goroutine — the pre-pool serial behavior.
 	// 0 (the default) uses the CRDTSYNC_SYNC_WORKERS environment
 	// variable if set, else GOMAXPROCS. Frame contents are byte-identical
 	// at any setting: workers capture per-shard output and the tick
@@ -290,10 +290,10 @@ func (s *StoreStats) Add(o StoreStats) {
 // plus the mutex that serializes access to it. Updates and syncs on keys
 // hashing to different shards never contend.
 //
-// dirty and the digest cache are read without the mutex (atomically), so
-// the sync loop and digest heartbeat skip clean shards without taking
-// their locks; both are only written while holding mu, which keeps the
-// flags coherent with the engine state they describe.
+// dirty and the digest are read without the mutex (atomically), so the
+// sync loop and digest heartbeat skip clean shards without taking their
+// locks; both are only written while holding mu, which keeps the flags
+// coherent with the engine state they describe.
 type shard struct {
 	mu     sync.Mutex
 	engine protocol.KeyedEngine
@@ -304,24 +304,22 @@ type shard struct {
 	// update or an inbound delivery since its last visit, or still
 	// emitting (e.g. unacked retransmissions) on that visit.
 	dirty atomic.Bool
-	// digest caches this shard's content digest; valid while digestOK.
-	// Any mutation (LocalOp, Deliver) invalidates it.
+	// digest is the shard's content digest as of the last refresh: the
+	// XOR of every cached key hash, which is also the root of the shard's
+	// Merkle tree. digestOK holds while no key is marked changed, so the
+	// cached value is current and readable without mu.
 	digest   atomic.Uint64
 	digestOK atomic.Bool
-	// leaf caches the Merkle leaf-hash vector repair drill-downs read;
-	// valid while leafOK. Unlike the digest cache it is only touched
-	// under mu, so plain fields suffice.
-	leaf   []uint64
-	leafOK bool
-}
-
-// markDirty flags the shard for the next sync visit and invalidates its
-// digest and leaf-hash caches; callers hold sh.mu having just mutated
-// the engine.
-func (sh *shard) markDirty() {
-	sh.dirty.Store(true)
-	sh.digestOK.Store(false)
-	sh.leafOK = false
+	// hashes caches one hash per key (see leafKeyHash) and changed heads
+	// the list of entries marked since the last refresh (see keyHash and
+	// refreshLocked).
+	hashes  map[string]*keyHash
+	changed *keyHash
+	// leaf is the Merkle leaf vector repair drill-downs read; nil until
+	// the shard's first drill-down, then patched by every refresh.
+	leaf []uint64
+	// scratch is the encode buffer refreshes reuse across keys.
+	scratch []byte
 }
 
 // Store is a live replica of a sharded multi-object keyspace: N shards,
@@ -335,9 +333,9 @@ func (sh *shard) markDirty() {
 // divergence invisible to the inner engines is repaired while a converged
 // idle cluster exchanges only constant-size heartbeats.
 //
-// Store generalizes Node (one engine, one object, one mutex) to the
-// deployment model of the paper's Retwis evaluation: many independent
-// objects, each with its own δ-buffer, synchronized together.
+// Store follows the deployment model of the paper's Retwis evaluation:
+// many independent objects, each with its own δ-buffer, synchronized
+// together.
 type Store struct {
 	cfg       StoreConfig
 	net       *peerNet
@@ -365,12 +363,10 @@ type Store struct {
 	workerShards []atomic.Uint64
 	workerBusy   []atomic.Int64
 	// tickPool recycles the parallel tick's per-shard emission capture;
-	// digestVecs and leafVecs are typed free lists (channels, so a
-	// Get/Put cycle never allocates) for digest vectors and the workers'
-	// private Merkle leaf accumulators.
+	// digestVecs is a typed free list of digest vectors (a channel, so a
+	// Get/Put cycle never allocates).
 	tickPool   sync.Pool
 	digestVecs chan []uint64
-	leafVecs   chan []uint64
 	stopping   chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup // syncLoop + watcher pumps
@@ -441,7 +437,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		if !ok {
 			return nil, fmt.Errorf("transport: per-object engine does not implement ObjectDeliverer")
 		}
-		shards[i] = &shard{engine: keyed, od: od}
+		shards[i] = &shard{engine: keyed, od: od, hashes: make(map[string]*keyHash), changed: changedEnd}
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -482,7 +478,6 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		}
 	}
 	s.digestVecs = make(chan []uint64, 4)
-	s.leafVecs = make(chan []uint64, s.workers)
 	s.repair = repairTable{
 		timeout: cfg.RepairTimeout,
 		entries: make([]repairEntry, cfg.Shards),
@@ -536,7 +531,8 @@ func (s *Store) Update(op workload.Op) {
 	sh := s.shardOf(op.Key)
 	sh.mu.Lock()
 	sh.engine.LocalOp(op)
-	sh.markDirty()
+	sh.markKey(op.Key)
+	sh.dirty.Store(true)
 	sh.mu.Unlock()
 	if s.hasWatchers() {
 		s.notifyWatchers(op.Key)
@@ -592,78 +588,31 @@ func (s *Store) Keys() []string {
 	return all
 }
 
-// shardDigest returns one shard's content digest, from the cache when the
-// shard has not been mutated since the last computation — the common case
-// on an idle keyspace, served without taking the shard lock.
-func (s *Store) shardDigest(sh *shard) uint64 {
-	if sh.digestOK.Load() {
-		return sh.digest.Load()
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.digestLocked()
-}
-
-// digestLocked computes (and caches) the shard's content digest under an
-// already-held sh.mu — the snapshotter uses it directly so the digest it
-// records and the contents it serializes come from one lock hold. The
-// inline FNV-1a fold produces the exact values hash/fnv did, without its
-// per-call hasher allocation, and the encode scratch buffer is reused
-// across keys (and pooled across calls) instead of allocated per key.
-func (sh *shard) digestLocked() uint64 {
-	if sh.digestOK.Load() {
-		return sh.digest.Load()
-	}
-	h := uint64(fnvOffset64)
-	scratch := getEncodeBuf()
-	for _, k := range sh.engine.Keys() {
-		h = fnvFoldString(h, k)
-		scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
-		h = fnvFold(h, scratch)
-	}
-	putEncodeBuf(scratch)
-	sh.digest.Store(h)
-	sh.digestOK.Store(true)
-	return h
-}
-
 // shardDigests returns the per-shard digest vector in a pooled slice;
 // callers hand it back with putDigestVec once no frame can reference it
 // (packing copies the vector into frame bytes synchronously). Clean
-// shards — all of them, on an idle store — are served from the
-// lock-free digest cache inline, allocation-free; the pool only fans
-// out when at least two shards need recomputation.
+// shards — all of them, on an idle store — are read lock-free, and the
+// fill is allocation-free; a changed shard rehashes only its changed
+// keys.
 func (s *Store) shardDigests() []uint64 {
 	vec := s.getDigestVec()
-	stale := 0
-	for _, sh := range s.shards {
-		if !sh.digestOK.Load() {
-			stale++
-		}
+	for i, sh := range s.shards {
+		vec[i] = sh.contentDigest()
 	}
-	if stale < 2 || s.workers <= 1 {
-		for i, sh := range s.shards {
-			vec[i] = s.shardDigest(sh)
-		}
-		return vec
-	}
-	s.runShardStage(func(_, i int) {
-		vec[i] = s.shardDigest(s.shards[i])
-	})
 	return vec
 }
 
 // Digest combines the per-shard digests into one 64-bit value. Two stores
 // with the same shard count that hold the same keyspace in the same
-// states produce equal digests, making convergence checks O(state)
-// without shipping states around — and O(1) on idle stores, since clean
-// shards serve their digests from cache. (The codec is canonical: equal
-// states encode to equal bytes.)
+// states produce equal digests, making convergence checks cheap without
+// shipping states around: each shard rehashes only the keys changed
+// since its last digest, and clean shards serve theirs from cache. (The
+// codec is canonical: equal states encode to equal bytes.)
 func (s *Store) Digest() uint64 {
 	h := uint64(fnvOffset64)
 	var word [8]byte
 	for _, sh := range s.shards {
-		binary.BigEndian.PutUint64(word[:], s.shardDigest(sh))
+		binary.BigEndian.PutUint64(word[:], sh.contentDigest())
 		h = fnvFold(h, word[:])
 	}
 	return h
@@ -840,8 +789,8 @@ func (d *replySink) flush(b *outBatch) {
 // SyncNow runs one synchronization step over the dirty shards and flushes
 // the coalesced frames. Clean shards — the steady state of an idle
 // keyspace — are skipped without taking their locks, so the tick is
-// O(dirty shards). The per-shard work — engine.Sync plus item capture,
-// and the digest recompute — fans out across the shard-work pool
+// O(dirty shards). The per-shard work — engine.Sync plus item capture
+// and encoding — fans out across the shard-work pool
 // (StoreConfig.SyncWorkers) with frame bytes unchanged. Every
 // DigestEvery ticks the per-shard digest vector goes out with the same
 // flush: piggybacked on a data frame to each peer that is getting one
@@ -1116,8 +1065,9 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 			}
 			d.sink.key = iv.Key
 			sh.od.DeliverObject(from, iv.Key, m, d.send)
+			sh.markKeyBytes(iv.Key)
 		}
-		sh.markDirty()
+		sh.dirty.Store(true)
 		sh.mu.Unlock()
 		d.sink.flush(d.b)
 		// Data from the peer a repair was requested from completes that
@@ -1200,6 +1150,7 @@ func (s *Store) deliverControl(from string, frame []byte) error {
 // request length: a hostile Want list of millions of duplicate indices
 // must not amplify into allocation or work.
 func (s *Store) serveWants(from string, want []uint32, seen []bool) {
+	r := repairShip{s: s, to: from}
 	served := 0
 	bytes := 0
 	for _, idx := range want {
@@ -1207,11 +1158,12 @@ func (s *Store) serveWants(from string, want []uint32, seen []bool) {
 			continue // hostile or stale request; serve each shard once
 		}
 		seen[idx] = true
-		if n, ok := s.serveShard(from, idx); ok {
+		if n := s.serveShard(&r, idx); n > 0 {
 			served++
 			bytes += n
 		}
 	}
+	r.ship()
 	if served > 0 {
 		s.statsMu.Lock()
 		s.stats.RepairShards += served
@@ -1228,6 +1180,28 @@ func (s *Store) serveWants(from string, want []uint32, seen []bool) {
 // held in memory and the shard-lock hold time to one chunk at a time.
 const repairChunkBytes = 1 << 20
 
+// repairShip gathers full-shard repair chunks toward one peer across the
+// shards of one Want, so a Want for several small shards is answered
+// with one frame instead of a burst of one frame per shard — a burst
+// that could overflow the peer's queue and drop frames on a healthy
+// link.
+type repairShip struct {
+	s       *Store
+	to      string
+	b       *outBatch
+	pending int // key+state bytes gathered in b and not yet shipped
+}
+
+// ship flushes the gathered chunks. It must not run under a shard lock.
+func (r *repairShip) ship() {
+	if r.b == nil || len(r.b.order) == 0 {
+		return
+	}
+	r.s.flush(r.b, nil)
+	r.b.reset()
+	r.pending = 0
+}
+
 // serveShard streams one shard's full contents to a peer as a sequence
 // of bounded BatchMsgs of per-key δ-groups carrying whole object states.
 // A full state is a valid δ-group, so the receiver merges each chunk
@@ -1235,16 +1209,14 @@ const repairChunkBytes = 1 << 20
 // missing part) and propagates anything new onwards. The key list is
 // copied once up front; the shard lock is released between chunks (the
 // keyspace is grow-only, and a state mutated meanwhile ships its newer
-// value — anti-entropy never needs a point-in-time cut). Returns the
-// key+state payload bytes shipped and whether anything was.
-func (s *Store) serveShard(to string, idx uint32) (int, bool) {
+// value — anti-entropy never needs a point-in-time cut). Chunks gather
+// on r and ship whenever a chunk's budget fills. Returns the key+state
+// payload bytes gathered.
+func (s *Store) serveShard(r *repairShip, idx uint32) int {
 	sh := s.shards[idx]
 	sh.mu.Lock()
 	keys := append([]string(nil), sh.engine.Keys()...)
 	sh.mu.Unlock()
-	if len(keys) == 0 {
-		return 0, false
-	}
 	budget := min(s.maxMsgBytes()/2, repairChunkBytes)
 	total := 0
 	for i := 0; i < len(keys); {
@@ -1258,7 +1230,7 @@ func (s *Store) serveShard(to string, idx uint32) (int, bool) {
 				continue
 			}
 			sz := len(keys[i]) + st.SizeBytes()
-			if len(items) > 0 && bytes+sz > budget {
+			if r.pending+bytes > 0 && r.pending+bytes+sz > budget {
 				break // chunk full; an oversized single object still ships alone
 			}
 			st = st.Clone() // the message outlives the lock
@@ -1274,18 +1246,19 @@ func (s *Store) serveShard(to string, idx uint32) (int, bool) {
 			i++
 		}
 		sh.mu.Unlock()
-		if len(items) == 0 {
-			continue
+		if len(items) > 0 {
+			if r.b == nil {
+				r.b = newOutBatch()
+			}
+			r.b.sender(idx)(r.to, protocol.BatchOf(items))
+			r.pending += bytes
+			total += bytes
 		}
-		// Flush each chunk immediately on its own batch — accumulating
-		// chunks in one outBatch would defeat the point of chunking.
-		// flush must not run under the shard lock.
-		b := newOutBatch()
-		b.sender(idx)(to, protocol.BatchOf(items))
-		s.flush(b, nil)
-		total += bytes
+		if i < len(keys) {
+			r.ship() // the chunk is full: ship it before reading on
+		}
 	}
-	return total, total > 0
+	return total
 }
 
 func (s *Store) syncLoop() {

@@ -70,29 +70,45 @@ func BenchmarkSyncTick(b *testing.B) {
 	b.Run("pool", run(func() int { return runtime.GOMAXPROCS(0) }))
 }
 
-// BenchmarkDigestVector measures a full 64-shard digest vector
-// recompute (every cached digest invalidated each iteration), serial
-// versus pooled. Run with -cpu 1,2,4,8.
+// BenchmarkDigestVector measures a digest-vector refresh on a
+// 20,000-key, 64-shard store after touching one key ("one") and after
+// touching every key ("all"). A refresh rehashes only the changed keys,
+// so "one" stays flat as the keyspace grows while "all" scales with it.
+// Counters keep every state the same size however often it is touched.
 func BenchmarkDigestVector(b *testing.B) {
-	run := func(workers func() int) func(*testing.B) {
+	const keys = 20000
+	run := func(touched int) func(*testing.B) {
 		return func(b *testing.B) {
-			s, keys := benchTickStore(b, workers())
-			for _, k := range keys {
-				s.Update(workload.Add(k, "e0"))
+			s, err := StartStore(StoreConfig{
+				ID:         "n0",
+				ListenAddr: "127.0.0.1:0",
+				Shards:     64,
+				Factory:    protocol.NewDeltaBPRR(),
+				ObjType:    func(string) workload.Datatype { return workload.GCounterType{} },
+				SyncEvery:  time.Hour,
+			})
+			if err != nil {
+				b.Fatalf("StartStore: %v", err)
 			}
-			s.putDigestVec(s.shardDigests()) // warm caches and free list
+			b.Cleanup(func() { s.Close() })
+			ops := make([]workload.Op, keys)
+			for k := range ops {
+				ops[k] = workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%05d", k), N: 1}
+				s.Update(ops[k])
+			}
+			s.putDigestVec(s.shardDigests()) // hash every key, seed the free list
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, sh := range s.shards {
-					sh.digestOK.Store(false)
+				for k := 0; k < touched; k++ {
+					s.Update(ops[(i+k)%keys])
 				}
 				b.StartTimer()
 				s.putDigestVec(s.shardDigests())
 			}
 		}
 	}
-	b.Run("serial", run(func() int { return 1 }))
-	b.Run("pool", run(func() int { return runtime.GOMAXPROCS(0) }))
+	b.Run("one", run(1))
+	b.Run("all", run(keys))
 }

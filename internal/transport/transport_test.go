@@ -14,12 +14,17 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// startCluster boots n nodes on loopback with the given edges (pairs of
-// node indexes), all running the given factory over GSets.
-func startCluster(t *testing.T, n int, edges [][2]int, factory protocol.Factory) []*transport.Node {
+// setKey is the one object the topology tests replicate: a GSet every
+// replica adds its own element to.
+const setKey = "set"
+
+// startCluster boots n stores on loopback with the given edges (pairs of
+// store indexes) as their only peers — partial topologies, so updates
+// must relay through intermediate replicas — all running the given inner
+// engine over per-key GSets.
+func startCluster(t *testing.T, n int, edges [][2]int, factory protocol.Factory) []*transport.Store {
 	t.Helper()
 	ids := make([]string, n)
-	nodes := make([]*transport.Node, n)
 	addrs := make([]string, n)
 	listeners := make([]net.Listener, n)
 	// Bind all listeners first so every address is known before any
@@ -42,45 +47,44 @@ func startCluster(t *testing.T, n int, edges [][2]int, factory protocol.Factory)
 		peersOf[a][ids[b]] = addrs[b]
 		peersOf[b][ids[a]] = addrs[a]
 	}
-	for i := 0; i < n; i++ {
-		cfg := transport.Config{
+	stores := make([]*transport.Store, n)
+	for i := range stores {
+		st, err := transport.StartStore(transport.StoreConfig{
 			ID:        ids[i],
 			Listener:  listeners[i],
 			Peers:     peersOf[i],
 			Nodes:     ids,
-			Datatype:  workload.GSetType{},
+			Shards:    4,
 			Factory:   factory,
+			ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
 			SyncEvery: 20 * time.Millisecond,
-		}
-		node, err := transport.Start(cfg)
+		})
 		if err != nil {
 			t.Fatalf("start %s: %v", ids[i], err)
 		}
-		nodes[i] = node
-		t.Cleanup(func() { node.Close() })
+		stores[i] = st
+		t.Cleanup(func() { st.Close() })
 	}
-	return nodes
+	return stores
 }
 
-// waitConverged polls until every node's state equals want.
-func waitConverged(t *testing.T, nodes []*transport.Node, want lattice.State, timeout time.Duration) {
+// waitConverged polls until every store's set equals want.
+func waitConverged(t *testing.T, stores []*transport.Store, want lattice.State, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		allEqual := true
-		for _, n := range nodes {
-			n.Query(func(s lattice.State) {
-				if !s.Equal(want) {
-					allEqual = false
-				}
-			})
+		for _, st := range stores {
+			if s := st.Get(setKey); s == nil || !s.Equal(want) {
+				allEqual = false
+			}
 		}
 		if allEqual {
 			return
 		}
 		if time.Now().After(deadline) {
-			for _, n := range nodes {
-				n.Query(func(s lattice.State) { t.Logf("%s: %v", n.ID(), s) })
+			for _, st := range stores {
+				t.Logf("%s: %v", st.ID(), st.Get(setKey))
 			}
 			t.Fatal("cluster did not converge in time")
 		}
@@ -89,21 +93,22 @@ func waitConverged(t *testing.T, nodes []*transport.Node, want lattice.State, ti
 }
 
 func TestTwoNodesOverTCP(t *testing.T) {
-	nodes := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
-	nodes[0].Update(workload.Op{Kind: workload.KindAdd, Elem: "from-zero"})
-	nodes[1].Update(workload.Op{Kind: workload.KindAdd, Elem: "from-one"})
-	want := crdt.NewGSet("from-zero", "from-one")
-	waitConverged(t, nodes, want, 5*time.Second)
+	stores := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
+	stores[0].Update(workload.Add(setKey, "from-zero"))
+	stores[1].Update(workload.Add(setKey, "from-one"))
+	waitConverged(t, stores, crdt.NewGSet("from-zero", "from-one"), 5*time.Second)
 }
 
 func TestLineClusterMultiHop(t *testing.T) {
-	// t00 — t01 — t02: updates must relay through the middle node.
-	nodes := startCluster(t, 3, [][2]int{{0, 1}, {1, 2}}, protocol.NewDeltaBPRR())
-	nodes[0].Update(workload.Op{Kind: workload.KindAdd, Elem: "end-to-end"})
-	want := crdt.NewGSet("end-to-end")
-	waitConverged(t, nodes, want, 5*time.Second)
+	// t00 — t01 — t02: updates must relay through the middle store.
+	stores := startCluster(t, 3, [][2]int{{0, 1}, {1, 2}}, protocol.NewDeltaBPRR())
+	stores[0].Update(workload.Add(setKey, "end-to-end"))
+	waitConverged(t, stores, crdt.NewGSet("end-to-end"), 5*time.Second)
 }
 
+// TestRingClusterAllProtocolsOverTCP runs every inner engine of the
+// paper as the store's per-object engine on a 4-ring, so each one's
+// messages cross real connections through the sharded frame path.
 func TestRingClusterAllProtocolsOverTCP(t *testing.T) {
 	factories := map[string]protocol.Factory{
 		"state":       protocol.NewStateBased(),
@@ -115,47 +120,23 @@ func TestRingClusterAllProtocolsOverTCP(t *testing.T) {
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) {
 			edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
-			nodes := startCluster(t, 4, edges, f)
+			stores := startCluster(t, 4, edges, f)
 			want := crdt.NewGSet()
-			for i, n := range nodes {
+			for i, st := range stores {
 				e := fmt.Sprintf("elem-%d", i)
-				n.Update(workload.Op{Kind: workload.KindAdd, Elem: e})
+				st.Update(workload.Add(setKey, e))
 				want.Add(e)
 			}
-			waitConverged(t, nodes, want, 10*time.Second)
+			waitConverged(t, stores, want, 10*time.Second)
 		})
 	}
 }
 
 func TestSyncNowImmediate(t *testing.T) {
-	nodes := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
-	nodes[0].Update(workload.Op{Kind: workload.KindAdd, Elem: "now"})
-	nodes[0].SyncNow()
-	want := crdt.NewGSet("now")
-	waitConverged(t, nodes, want, 2*time.Second)
-}
-
-func TestQuerySnapshotIsolation(t *testing.T) {
-	nodes := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
-	nodes[0].Update(workload.Op{Kind: workload.KindAdd, Elem: "a"})
-	var snapshot lattice.State
-	nodes[0].Query(func(s lattice.State) { snapshot = s })
-	// Mutating after the query must not affect the snapshot.
-	nodes[0].Update(workload.Op{Kind: workload.KindAdd, Elem: "b"})
-	if snapshot.Elements() != 1 {
-		t.Errorf("snapshot has %d elements, want 1 (isolation broken)", snapshot.Elements())
-	}
-}
-
-func TestCloseIsClean(t *testing.T) {
-	nodes := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
-	if err := nodes[0].Close(); err != nil && !isUseOfClosed(err) {
-		t.Errorf("close: %v", err)
-	}
-	// Closing twice-adjacent node still works; remaining node survives
-	// its peer being down (sends are dropped, no panic).
-	nodes[1].Update(workload.Op{Kind: workload.KindAdd, Elem: "alone"})
-	nodes[1].SyncNow()
+	stores := startCluster(t, 2, [][2]int{{0, 1}}, protocol.NewDeltaBPRR())
+	stores[0].Update(workload.Add(setKey, "now"))
+	stores[0].SyncNow()
+	waitConverged(t, stores, crdt.NewGSet("now"), 2*time.Second)
 }
 
 func isUseOfClosed(err error) bool {
