@@ -159,9 +159,9 @@ func runStoreBench(cfg storeBenchConfig) {
 			total.DigestFrames, total.PiggybackedDigests, total.WantShards, total.RepairShards,
 			total.SplitFrames, total.OversizedDropped)
 	}
-	if total.TreeRounds > 0 || total.DedupedWants > 0 {
-		fmt.Printf("repair: %d drill-down rounds, %d key ranges served, %s repair payload, %d wants deduped against in-flight repairs\n",
-			total.TreeRounds, total.RepairRanges, fmtBytes(total.RepairBytes), total.DedupedWants)
+	if total.TreeRounds > 0 || total.DedupedWants > 0 || total.HeldRepairs > 0 {
+		fmt.Printf("repair: %d drill-down rounds, %d key ranges served, %s repair payload, %d wants deduped against in-flight repairs, %d held while the shard's own δs were in flight\n",
+			total.TreeRounds, total.RepairRanges, fmtBytes(total.RepairBytes), total.DedupedWants, total.HeldRepairs)
 	}
 	if total.DigestShardMismatch > 0 {
 		// Nonzero only when a peer advertises digests for a different shard

@@ -108,9 +108,10 @@ func WaitConverged(stores []*Store, wantKeys int, timeout time.Duration, progres
 		if time.Now().After(deadline) {
 			// A sick write pipeline is the usual culprit, so the failure
 			// names each store's queued/dropped frame totals alongside
-			// its digest; a non-zero shard-count mismatch counter means
-			// the cluster is misconfigured and anti-entropy can never
-			// repair it.
+			// its digest, and how many repairs it held while its own δs
+			// were in flight; a non-zero shard-count mismatch counter
+			// means the cluster is misconfigured and anti-entropy can
+			// never repair it.
 			msg := "transport: cluster did not converge:"
 			for _, st := range stores {
 				queued, dropped := 0, 0
@@ -119,8 +120,8 @@ func WaitConverged(stores []*Store, wantKeys int, timeout time.Duration, progres
 					queued += ps.Queued
 					dropped += ps.Dropped
 				}
-				msg += fmt.Sprintf(" %s[keys=%d digest=%x queued=%d dropped=%d]",
-					st.ID(), st.NumKeys(), st.Digest(), queued, dropped)
+				msg += fmt.Sprintf(" %s[keys=%d digest=%x queued=%d dropped=%d held=%d]",
+					st.ID(), st.NumKeys(), st.Digest(), queued, dropped, stats.HeldRepairs)
 				if stats.DigestShardMismatch > 0 {
 					msg += fmt.Sprintf(" %s saw %d digest advertisements with a foreign shard count (misconfigured Shards?)",
 						st.ID(), stats.DigestShardMismatch)

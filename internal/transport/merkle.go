@@ -11,9 +11,9 @@ import (
 
 // This file implements the repair side of digest anti-entropy: the
 // per-shard Merkle hash tree that turns a root-digest mismatch into a
-// log-depth drill-down (protocol.TreeMsg), and the in-flight repair
-// table that keeps a store from re-requesting a shard on every
-// heartbeat while its repair is still on the wire.
+// log-depth drill-down (protocol.TreeMsg), and the repair table that
+// keeps a store from re-requesting a shard on every heartbeat while its
+// repair — or its own δs — are still on the wire.
 
 const (
 	// defaultRepairTimeout bounds how long one shard's repair may stay
@@ -214,19 +214,24 @@ func (s *Store) treeNodeHashes(sh *shard, level int, nodes []uint32, out []uint6
 // repairEntry tracks one shard's in-flight repair: which peer it was
 // requested from, when the request expires if no repair data lands,
 // whether the data request (flat or leaf-level Want) has gone out yet,
-// and how many consecutive attempts have timed out.
+// and how many consecutive attempts have timed out. heldSince is when
+// the first mismatch held since the last match or repair start was seen
+// (zero while none is held).
 type repairEntry struct {
-	active   bool
-	wantSent bool
-	fails    uint8
-	peer     string
-	expires  time.Time
+	active    bool
+	wantSent  bool
+	fails     uint8
+	peer      string
+	expires   time.Time
+	heldSince time.Time
 }
 
-// repairTable is the Want-storm gate: at most one outstanding repair
-// request (flat Want or tree drill-down) per shard, cleared when repair
-// data arrives from the peer it was requested from, when the shard's
-// digests re-match, or on timeout.
+// repairTable gates repair requests per shard. It holds mismatches on a
+// shard whose own δs are still in flight for up to the timeout (hold),
+// and it is the Want-storm gate: at most one outstanding repair request
+// (flat Want or tree drill-down) per shard, cleared when repair data
+// arrives from the peer it was requested from, when the shard's digests
+// re-match, or on timeout.
 type repairTable struct {
 	mu      sync.Mutex
 	timeout time.Duration
@@ -253,6 +258,21 @@ func (r *repairTable) tryStart(shard int, peer string, now time.Time) (fails int
 	}
 	*e = repairEntry{active: true, fails: f, peer: peer, expires: now.Add(r.timeout)}
 	return int(f), true
+}
+
+// hold reports whether a mismatch on a shard with δs still in flight
+// should be held rather than repaired: true until the first held
+// mismatch is timeout old. Starting a repair or a digest match ends the
+// hold, so a shard that never goes quiet is repaired about once per
+// timeout instead of never.
+func (r *repairTable) hold(shard int, now time.Time) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := &r.entries[shard]
+	if e.heldSince.IsZero() {
+		e.heldSince = now
+	}
+	return now.Sub(e.heldSince) < r.timeout
 }
 
 // refresh reports whether the shard's in-flight repair is with peer and,
@@ -299,9 +319,12 @@ func (r *repairTable) clear(shard int) {
 }
 
 // handleDigests compares a peer's digest advertisement against the
-// local shards and starts a repair for whichever differ — unless one is
-// already in flight for that shard (the Want-storm dedup). Large shards
-// repair by Merkle drill-down; small ones are pulled whole, as before.
+// local shards and starts a repair for whichever differ — unless the
+// local shard still has its own δs in flight (the hold: the peer's
+// digest cannot reflect δs it has not received, so the mismatch is no
+// evidence of divergence until it outlasts RepairTimeout), or a repair
+// is already in flight for that shard (the Want-storm dedup). Large
+// shards repair by Merkle drill-down; small ones are pulled whole.
 func (s *Store) handleDigests(from string, digests []uint64) {
 	if len(digests) == 0 {
 		return
@@ -317,10 +340,14 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 	}
 	now := time.Now()
 	var flat []uint32
-	deduped := 0
+	deduped, held := 0, 0
 	for i, sh := range s.shards {
 		if sh.contentDigest() == digests[i] {
 			s.repair.clear(i)
+			continue
+		}
+		if sh.pending.Load() && s.repair.hold(i, now) {
+			held++
 			continue
 		}
 		fails, ok := s.repair.tryStart(i, from, now)
@@ -335,9 +362,10 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 			flat = append(flat, uint32(i))
 		}
 	}
-	if deduped > 0 {
+	if deduped+held > 0 {
 		s.statsMu.Lock()
 		s.stats.DedupedWants += deduped
+		s.stats.HeldRepairs += held
 		s.statsMu.Unlock()
 	}
 	if len(flat) > 0 {

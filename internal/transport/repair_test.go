@@ -246,6 +246,9 @@ func TestSmallShardFlatRepair(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "v"))
 	}
+	// A tick with no neighbours ships nothing, so the writes are no
+	// longer in flight and the mismatch below is real divergence.
+	s.SyncNow()
 	// A differing advertisement from an unknown peer: the reply is
 	// dropped by the peer net, so the repair stays in flight.
 	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil,
@@ -285,6 +288,7 @@ func TestNoTreeRepairKnob(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
+	s.SyncNow() // settle the writes, as in TestSmallShardFlatRepair
 	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil,
 		protocol.DigestCost([]uint64{12345}, nil)))
 	if err := s.deliver("peer", adv); err != nil {
@@ -293,6 +297,79 @@ func TestNoTreeRepairKnob(t *testing.T) {
 	st := s.Stats()
 	if st.WantShards != 1 || st.TreeRounds != 0 {
 		t.Errorf("WantShards = %d TreeRounds = %d, want flat pull only", st.WantShards, st.TreeRounds)
+	}
+}
+
+// TestDigestMismatchHeldWhileShardPending pins the hold: a peer's
+// advertisement that differs only in a shard whose local write has not
+// shipped yet is no evidence of divergence, so it starts no repair; the
+// next tick ships the δ and the pair converges without one.
+func TestDigestMismatchHeldWhileShardPending(t *testing.T) {
+	cfg := repairPairConfig()
+	cfg.Shards = 4 // the advertisement differs in one shard of four
+	stores := startFaultyPair(t, cfg, [2]*Fault{})
+	s0, s1 := stores[0], stores[1]
+
+	s1.Update(workload.Add("k", "v"))
+	s0.SyncNow() // nothing dirty on s0: a standalone advertisement
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := s1.Stats()
+		if st.HeldRepairs+st.WantShards+st.TreeRounds > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("advertisement never processed: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st := s1.Stats()
+	if st.WantShards != 0 || st.TreeRounds != 0 {
+		t.Errorf("pending shard repaired: WantShards = %d TreeRounds = %d, want 0 and 0", st.WantShards, st.TreeRounds)
+	}
+	if st.HeldRepairs != 1 {
+		t.Errorf("HeldRepairs = %d, want 1", st.HeldRepairs)
+	}
+
+	s1.SyncNow()
+	waitPairConverged(t, stores, 1, 10*time.Second)
+	s0.SyncNow()
+	waitPairConverged(t, stores, 1, 10*time.Second)
+	for _, s := range stores {
+		if got := s.Stats().RepairShards; got != 0 {
+			t.Errorf("%s served %d full shards, want 0", s.ID(), got)
+		}
+	}
+}
+
+// TestHeldRepairBoundedUnderSustainedWrites pins the hold's liveness
+// bound: a key lost to a clear-after-send engine is repaired within a
+// few RepairTimeouts even though the receiving shard takes a local
+// write before every tick and so is pending at every advertisement.
+func TestHeldRepairBoundedUnderSustainedWrites(t *testing.T) {
+	f0 := NewFault(5)
+	f0.SetDropRate(1)
+	cfg := repairPairConfig()
+	cfg.RepairTimeout = 200 * time.Millisecond
+	stores := startFaultyPair(t, cfg, [2]*Fault{f0, nil})
+	s0, s1 := stores[0], stores[1]
+
+	s0.Update(workload.Add("k-diverged", "v"))
+	drainInto(t, s0)
+	f0.SetDropRate(0)
+	if s1.Get("k-diverged") != nil {
+		t.Fatal("black hole leaked the diverged key")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; s1.Get("k-diverged") == nil; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("diverged key not repaired within 5s of sustained writes: %+v", s1.Stats())
+		}
+		s1.Update(workload.Add(fmt.Sprintf("w%06d", i), "v"))
+		s1.SyncNow()
+		s0.SyncNow()
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -454,6 +531,26 @@ func TestRepairTableSemantics(t *testing.T) {
 	r.clear(1)
 	if fails, ok := r.tryStart(1, "e", t0.Add(8*time.Second)); !ok || fails != 0 {
 		t.Errorf("slot after clear: fails=%d ok=%v, want 0 true", fails, ok)
+	}
+	// The hold lasts one timeout from the first held mismatch; starting a
+	// repair or a match-clear ends it, so the next hold starts afresh.
+	t1 := t0.Add(10 * time.Second)
+	r.clear(0)
+	if !r.hold(0, t1) || !r.hold(0, t1.Add(999*time.Millisecond)) {
+		t.Error("mismatch not held within the timeout")
+	}
+	if r.hold(0, t1.Add(time.Second)) {
+		t.Error("mismatch still held after the timeout")
+	}
+	if _, ok := r.tryStart(0, "a", t1.Add(time.Second)); !ok {
+		t.Error("expired hold did not let the repair start")
+	}
+	if !r.hold(0, t1.Add(3*time.Second)) {
+		t.Error("hold after a repair start did not restart")
+	}
+	r.clear(0)
+	if !r.hold(0, t1.Add(5*time.Second)) {
+		t.Error("hold after a match-clear did not restart")
 	}
 }
 

@@ -61,11 +61,15 @@ type StoreConfig struct {
 	PeerQueueBytes int
 	// DigestEvery enables digest anti-entropy: every DigestEvery-th sync
 	// tick the store also ships its per-shard digest vector to every
-	// peer; a peer whose digests differ requests those shards in full.
-	// This repairs divergence the inner engines cannot see (lost frames
-	// under clear-after-send engines, healed partitions) at a
-	// near-constant per-tick cost of 8 bytes per shard once converged.
-	// 0 disables digests (delta traffic only).
+	// peer; a peer whose digests differ repairs those shards (a full pull
+	// or a Merkle drill-down). This repairs divergence the inner engines
+	// cannot see (lost frames under clear-after-send engines, healed
+	// partitions) at a near-constant per-tick cost of 8 bytes per shard
+	// once converged. A mismatch on a shard whose own δs are still in
+	// flight — written locally, or emitted on its last sync visit — is
+	// expected and says nothing about divergence, so its repair is held
+	// for up to RepairTimeout (see there). 0 disables digests (delta
+	// traffic only).
 	DigestEvery int
 	// MaxFrameBytes caps the encoded size of one data frame; a sync tick
 	// whose batch exceeds it is packed into multiple bounded frames. 0 or
@@ -86,7 +90,11 @@ type StoreConfig struct {
 	// when repair messages are lost; after two consecutive drill-downs
 	// time out on a shard, repair falls back to the flat full pull, whose
 	// two-message exchange survives lossy links the multi-round drill
-	// cannot.
+	// cannot. It also bounds the hold on a shard whose own δs are still
+	// in flight: mismatches on such a shard start no repair until one has
+	// been held for RepairTimeout, so a shard that never goes quiet is
+	// still repaired about every RepairTimeout plus one advertisement
+	// interval (counted in Stats().HeldRepairs).
 	RepairTimeout time.Duration
 	// TreeRepairMinKeys is the local key count from which a diverged
 	// shard repairs by Merkle drill-down instead of a full-shard pull
@@ -159,6 +167,10 @@ type StoreStats struct {
 	// request because one was already in flight for that shard — the
 	// Want storms the repair table absorbed.
 	DedupedWants int
+	// HeldRepairs counts digest mismatches that did not issue a repair
+	// request because the local shard still had its own δs in flight, so
+	// the peer's digest could not yet reflect them (see RepairTimeout).
+	HeldRepairs int
 	// TreeRounds counts Merkle drill-down rounds this store initiated
 	// (level queries and leaf Wants). A single-key repair costs
 	// TreeDepth query rounds plus one Want.
@@ -240,6 +252,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.WantShards += o.WantShards
 	s.RepairShards += o.RepairShards
 	s.DedupedWants += o.DedupedWants
+	s.HeldRepairs += o.HeldRepairs
 	s.TreeRounds += o.TreeRounds
 	s.RepairRanges += o.RepairRanges
 	s.RepairBytes += o.RepairBytes
@@ -290,10 +303,11 @@ func (s *StoreStats) Add(o StoreStats) {
 // plus the mutex that serializes access to it. Updates and syncs on keys
 // hashing to different shards never contend.
 //
-// dirty and the digest are read without the mutex (atomically), so the
-// sync loop and digest heartbeat skip clean shards without taking their
-// locks; both are only written while holding mu, which keeps the flags
-// coherent with the engine state they describe.
+// dirty, pending and the digest are read without the mutex (atomically),
+// so the sync loop and digest heartbeat skip clean shards without taking
+// their locks and digest comparison checks pending lock-free; all are
+// only written while holding mu, which keeps the flags coherent with the
+// engine state they describe.
 type shard struct {
 	mu     sync.Mutex
 	engine protocol.KeyedEngine
@@ -304,6 +318,13 @@ type shard struct {
 	// update or an inbound delivery since its last visit, or still
 	// emitting (e.g. unacked retransmissions) on that visit.
 	dirty atomic.Bool
+	// pending marks a shard whose own δs may still be on the wire: set by
+	// a local update, then set on each sync visit to whether that visit
+	// emitted anything (fresh δs, forwards, unacked retransmissions).
+	// Inbound deliveries leave it alone. A peer's digest cannot reflect
+	// δs it has not received yet, so handleDigests holds repair of a
+	// pending shard (bounded by RepairTimeout).
+	pending atomic.Bool
 	// digest is the shard's content digest as of the last refresh: the
 	// XOR of every cached key hash, which is also the root of the shard's
 	// Merkle tree. digestOK holds while no key is marked changed, so the
@@ -533,6 +554,7 @@ func (s *Store) Update(op workload.Op) {
 	sh.engine.LocalOp(op)
 	sh.markKey(op.Key)
 	sh.dirty.Store(true)
+	sh.pending.Store(true)
 	sh.mu.Unlock()
 	if s.hasWatchers() {
 		s.notifyWatchers(op.Key)
@@ -874,6 +896,7 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 				// retransmissions, Scuttlebutt digests): revisit next tick.
 				sh.dirty.Store(true)
 			}
+			sh.pending.Store(emitted)
 			sh.mu.Unlock()
 		}
 		return nil
@@ -907,6 +930,7 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 		if emitted {
 			sh.dirty.Store(true) // more to emit next tick (see serial path)
 		}
+		sh.pending.Store(emitted)
 		sh.mu.Unlock()
 		ts.emits[i] = out
 		ts.bufs[i] = buf

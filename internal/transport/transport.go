@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
+	"sync"
 )
 
 // maxFrameBytes bounds a single frame (64 MiB) to fail fast on corrupt
@@ -24,18 +26,31 @@ const maxFrameBytes = 64 << 20
 // ErrFrameTooLarge reports a frame exceeding maxFrameBytes.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
+// frameHeader is writeFrame's pooled scratch: the encoded frame header
+// and the two-entry write vector. Pooling both keeps a frame write free
+// of allocations whatever the message size.
+type frameHeader struct {
+	hdr  []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+var frameHeaders = sync.Pool{New: func() any { return new(frameHeader) }}
+
 // writeFrame emits [len][from][msg] with a 4-byte big-endian total length.
+// The header and msg go out as one vectored write (writev on a TCP
+// connection), so msg is never copied; writers without vectored writes
+// see the header and msg as two Write calls.
 func writeFrame(w io.Writer, from string, msg []byte) error {
-	body := make([]byte, 0, 2+len(from)+len(msg))
-	body = append(body, byte(len(from)>>8), byte(len(from)))
-	body = append(body, from...)
-	body = append(body, msg...)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	h := frameHeaders.Get().(*frameHeader)
+	h.hdr = binary.BigEndian.AppendUint32(h.hdr[:0], uint32(2+len(from)+len(msg)))
+	h.hdr = append(h.hdr, byte(len(from)>>8), byte(len(from)))
+	h.hdr = append(h.hdr, from...)
+	h.vec = [2][]byte{h.hdr, msg}
+	h.bufs = h.vec[:]
+	_, err := h.bufs.WriteTo(w)
+	h.vec, h.bufs = [2][]byte{}, nil // never pin msg from the pool
+	frameHeaders.Put(h)
 	return err
 }
 
