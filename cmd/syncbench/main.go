@@ -32,11 +32,9 @@ func main() {
 	faultDrop := flag.Float64("fault-drop", 0, "store experiment: drop this fraction of frames on every link (0 disables fault injection)")
 	peerQueue := flag.Int("peer-queue", 0, "store experiment: per-peer outbound frame queue length (0 = default)")
 	peerQueueBytes := flag.Int("peer-queue-bytes", 0, "store experiment: per-peer outbound queue byte budget (0 = default)")
-	noPiggyback := flag.Bool("no-piggyback", false, "store experiment: ship every digest advertisement standalone instead of piggybacking on data frames")
 	scan := flag.Bool("scan", false, "store experiment: after convergence, benchmark the read layer (Get clone baseline vs zero-clone Query vs sorted Scan)")
 	persistOut := flag.String("persist-out", "", "persist experiment: write the BENCH_persist.json artifact to this path")
-	syncWorkers := flag.Int("sync-workers", 0, "store/sync experiments: shard-work pool width (store: 0 = GOMAXPROCS; sync: 0 sweeps 1,2,4,8)")
-	ticks := flag.Int("ticks", 20, "sync experiment: timed all-dirty ticks per pool width")
+	ticks := flag.Int("ticks", 20, "sync experiment: timed all-dirty ticks per GOMAXPROCS setting")
 	syncOut := flag.String("sync-out", "", "sync experiment: write the BENCH_sync.json artifact to this path")
 	flag.Parse()
 
@@ -59,11 +57,10 @@ func main() {
 
 	if *expID == "sync" {
 		runSyncBench(syncBenchConfig{
-			Keys:    *keys,
-			Shards:  *shards,
-			Ticks:   *ticks,
-			Workers: *syncWorkers,
-			Out:     *syncOut,
+			Keys:   *keys,
+			Shards: *shards,
+			Ticks:  *ticks,
+			Out:    *syncOut,
 		})
 		return
 	}
@@ -89,10 +86,8 @@ func main() {
 			FaultDrop:      *faultDrop,
 			PeerQueueLen:   *peerQueue,
 			PeerQueueBytes: *peerQueueBytes,
-			NoPiggyback:    *noPiggyback,
 			Scan:           *scan,
 			Seed:           *seed,
-			SyncWorkers:    *syncWorkers,
 		})
 		return
 	}

@@ -15,19 +15,18 @@ import (
 
 // The sync experiment measures the multi-core sync engine over the
 // public API: one store with an all-dirty keyspace ticks against a TCP
-// sink at each shard-work pool width, so a row's tick time covers the
-// whole outbound path — engine sync, item encoding, digest refresh,
-// frame packing, enqueue — and the sweep's ratios are the pool's
-// wall-clock scaling on this host. The serial row (workers=1) is the
-// pre-pool behavior and the speedup baseline.
+// sink at each GOMAXPROCS setting — a store's shard-work pool is
+// GOMAXPROCS wide — so a row's tick time covers the whole outbound path
+// (engine sync, item encoding, digest refresh, frame packing, enqueue)
+// and the sweep's ratios are the pool's wall-clock scaling on this
+// host. The one-worker row is the speedup baseline.
 
 // syncBenchConfig parameterizes the pool-scaling benchmark.
 type syncBenchConfig struct {
-	Keys    int    // distinct keys, touched in full before every tick
-	Shards  int    // shards (rounded to a power of two)
-	Ticks   int    // timed all-dirty ticks per pool width
-	Workers int    // >0 pins the sweep to one width; 0 sweeps 1,2,4,8
-	Out     string // JSON artifact path ("" = stdout only)
+	Keys   int    // distinct keys, touched in full before every tick
+	Shards int    // shards (rounded to a power of two)
+	Ticks  int    // timed all-dirty ticks per pool width
+	Out    string // JSON artifact path ("" = stdout only)
 }
 
 // syncRow is one pool width's measurements.
@@ -40,10 +39,10 @@ type syncRow struct {
 	WorkerShards []uint64 `json:"worker_shards"` // per-worker shard claims (skew)
 }
 
-// syncReport is the BENCH_sync.json schema. GoMaxProcs and NumCPU
-// record how much hardware parallelism the rows had available — on a
-// single-core host every width collapses to serial and the speedups
-// sit at ~1.
+// syncReport is the BENCH_sync.json schema. GoMaxProcs (the process's
+// setting outside the sweep) and NumCPU record how much hardware
+// parallelism the rows had available — on a single-core host every
+// width collapses to serial and the speedups sit at ~1.
 type syncReport struct {
 	Keys       int       `json:"keys"`
 	Shards     int       `json:"shards"`
@@ -64,13 +63,6 @@ func runSyncBench(cfg syncBenchConfig) {
 	if cfg.Ticks <= 0 {
 		cfg.Ticks = 20
 	}
-	widths := []int{1, 2, 4, 8}
-	if cfg.Workers > 0 {
-		widths = []int{1, cfg.Workers}
-		if cfg.Workers == 1 {
-			widths = []int{1}
-		}
-	}
 	report := syncReport{
 		Keys:       cfg.Keys,
 		Shards:     cfg.Shards,
@@ -83,8 +75,10 @@ func runSyncBench(cfg syncBenchConfig) {
 		cfg.Keys, cfg.Shards, cfg.Ticks, report.GoMaxProcs)
 	fmt.Printf("%8s %12s %14s %10s %14s\n",
 		"workers", "tick", "ticks/sec", "speedup", "snapshot")
-	for _, w := range widths {
-		row := syncPoint(cfg, w)
+	for _, w := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(w)
+		row := syncPoint(cfg)
+		runtime.GOMAXPROCS(prev)
 		if len(report.Rows) == 0 {
 			row.SpeedupX = 1
 		} else {
@@ -106,8 +100,8 @@ func runSyncBench(cfg syncBenchConfig) {
 	}
 }
 
-// syncPoint measures one pool width on a fresh store.
-func syncPoint(cfg syncBenchConfig, workers int) syncRow {
+// syncPoint measures one fresh store, its pool as wide as GOMAXPROCS.
+func syncPoint(cfg syncBenchConfig) syncRow {
 	sinkAddr, closeSink := discardSink()
 	defer closeSink()
 	dir, err := os.MkdirTemp("", "syncbench-sync-*")
@@ -126,7 +120,6 @@ func syncPoint(cfg syncBenchConfig, workers int) syncRow {
 		crdtsync.WithEngine(crdtsync.EngineDelta),
 		crdtsync.WithSyncEvery(time.Hour), // ticks are driven explicitly
 		crdtsync.WithDigestEvery(1),       // every tick recomputes the digest vector
-		crdtsync.WithSyncWorkers(workers),
 		crdtsync.WithSnapshotDir(dir),
 		crdtsync.WithSnapshotEvery(time.Hour),
 	)
@@ -156,7 +149,7 @@ func syncPoint(cfg syncBenchConfig, workers int) syncRow {
 	tickMs := float64(tickTotal.Microseconds()) / 1000 / float64(cfg.Ticks)
 	stats := st.Stats()
 	return syncRow{
-		Workers:      workers,
+		Workers:      stats.SyncWorkers,
 		TickMs:       tickMs,
 		TicksPerSec:  1000 / tickMs,
 		SnapshotMs:   snapMs,

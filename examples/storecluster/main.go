@@ -33,7 +33,6 @@ func main() {
 	syncEvery := flag.Duration("sync-every", 100*time.Millisecond, "synchronization period")
 	digestEvery := flag.Int("digest-every", 4, "digest heartbeat period in ticks (0 disables)")
 	peerQueue := flag.Int("peer-queue", 0, "per-peer outbound frame queue length (0 = default)")
-	syncWorkers := flag.Int("sync-workers", 0, "shard-work pool width per replica (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	stores, err := crdtsync.Cluster(*nodes,
@@ -48,10 +47,6 @@ func main() {
 		// goroutine, so one slow replica can never stall frames to the
 		// healthy ones.
 		crdtsync.WithQueueBudget(*peerQueue, 0),
-		// The CPU-heavy per-shard stages of every tick — engine sync
-		// and item encoding — fan out across a bounded worker pool;
-		// frame bytes are identical at any width.
-		crdtsync.WithSyncWorkers(*syncWorkers),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -514,17 +514,31 @@ func (p *peerNet) readLoop(conn net.Conn, deliver func(from string, frame []byte
 		delete(p.accepted, conn)
 		p.mu.Unlock()
 	}()
-	// One read buffer for the connection's lifetime: deliver is
-	// synchronous and the decoders copy whatever outlives the call, so
-	// the next frame may safely overwrite the previous one's bytes.
+	// One read buffer across frames: deliver is synchronous and the
+	// decoders copy whatever outlives the call, so the next frame may
+	// safely overwrite the previous one's bytes. The connection speaks
+	// for the sender named by its first frame; a later frame naming
+	// anyone else is a spoof, and the connection is dropped.
 	var buf []byte
-	for {
+	var sender string
+	for first := true; ; first = false {
 		from, data, err := readFrameInto(conn, &buf)
 		if err != nil {
 			return
 		}
-		if err := deliver(from, data); err != nil {
+		if first {
+			sender = string(from)
+		} else if string(from) != sender {
+			return
+		}
+		if err := deliver(sender, data); err != nil {
 			return // corrupt peer; drop the connection
+		}
+		if cap(buf) > repairChunkBytes {
+			// Steady-state frames are far smaller than a repair chunk: a
+			// one-off large frame must not pin its buffer (up to the
+			// 64 MiB frame cap) for the connection's lifetime.
+			buf = nil
 		}
 	}
 }

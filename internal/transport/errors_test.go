@@ -25,14 +25,15 @@ func dialNode(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// expectDrop asserts the server closes the connection (read returns an
-// error once our bytes are processed).
+// expectDrop asserts the server closes the connection: once our bytes
+// are processed, a read fails with something other than our own
+// deadline expiring.
 func expectDrop(t *testing.T, conn net.Conn) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var one [1]byte
-	if _, err := conn.Read(one[:]); err == nil {
-		t.Error("server kept the connection open, want drop")
+	if _, err := conn.Read(one[:]); err == nil || isTimeout(err) {
+		t.Errorf("read = %v: server kept the connection open, want drop", err)
 	}
 }
 
@@ -110,27 +111,52 @@ func TestStoreCloseWhilePeerMidFrame(t *testing.T) {
 	}
 }
 
-func TestStoreIgnoresNonShardedFrames(t *testing.T) {
-	// A well-formed message of a kind stores do not speak (a plain
-	// single-object delta) is ignored: the store keeps the connection
-	// and keeps syncing its own keyspace.
-	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
-	conn := dialNode(t, stores[0].Addr())
-	defer conn.Close()
-	st := crdt.NewGSet("x")
-	msg, err := codec.EncodeMsg(protocol.NewDeltaMsg(st, metrics.Transmission{Messages: 1, Elements: 1}))
+// legacyFrame is one well-formed frame body of a kind stores do not
+// speak — a plain single-object delta — sent as from.
+func legacyFrame(t *testing.T, from string) []byte {
+	t.Helper()
+	msg, err := codec.EncodeMsg(protocol.NewDeltaMsg(crdt.NewGSet("x"), metrics.Transmission{Messages: 1, Elements: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	from := "legacy"
 	body := append([]byte{byte(len(from) >> 8), byte(len(from))}, from...)
-	writeRawFrame(t, conn, append(body, msg...))
+	return append(body, msg...)
+}
+
+func TestStoreIgnoresNonShardedFrames(t *testing.T) {
+	// A well-formed message of a kind stores do not speak is ignored:
+	// the store keeps the connection and keeps syncing its own keyspace.
+	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	conn := dialNode(t, stores[0].Addr())
+	defer conn.Close()
+	writeRawFrame(t, conn, legacyFrame(t, "legacy"))
 	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 	var one [1]byte
 	if _, err := conn.Read(one[:]); !isTimeout(err) {
 		t.Errorf("read after a non-sharded frame: %v, want a timeout (connection kept)", err)
 	}
 	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "k", N: 1})
+	waitStoresConverged(t, stores, 1, 5*time.Second)
+}
+
+// TestStoreDropsConnectionOnSenderChange: a connection speaks for the
+// sender its first frame names. A later frame on it claiming another
+// sender is a spoof, and the store drops the connection — then keeps
+// serving its real peers.
+func TestStoreDropsConnectionOnSenderChange(t *testing.T) {
+	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	conn := dialNode(t, stores[0].Addr())
+	defer conn.Close()
+	writeRawFrame(t, conn, legacyFrame(t, "legacy"))
+	writeRawFrame(t, conn, legacyFrame(t, "legacy"))
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	var one [1]byte
+	if _, err := conn.Read(one[:]); !isTimeout(err) {
+		t.Fatalf("read after two frames from one sender: %v, want a timeout (connection kept)", err)
+	}
+	writeRawFrame(t, conn, legacyFrame(t, stores[1].ID()))
+	expectDrop(t, conn)
+	stores[1].Update(workload.Op{Kind: workload.KindInc, Key: "k", N: 1})
 	waitStoresConverged(t, stores, 1, 5*time.Second)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != "node-7" || string(msg) != "payload" {
+	if string(from) != "node-7" || string(msg) != "payload" {
 		t.Errorf("got (%q, %q)", from, msg)
 	}
 }
@@ -60,6 +61,49 @@ func TestReadFrameBadSenderLength(t *testing.T) {
 		if _, _, err := readFrameInto(&buf, new([]byte)); err == nil {
 			t.Errorf("body %v: want error, got nil", body)
 		}
+	}
+}
+
+// TestReadLoopReleasesLargeFrameBuffer: a connection reuses one read
+// buffer across steady-state frames, but a frame larger than a repair
+// chunk must not pin its buffer for the connection's lifetime — the next
+// small frame reads into a fresh small buffer, which is reused again.
+func TestReadLoopReleasesLargeFrameBuffer(t *testing.T) {
+	p := newPeerNet("n0", nil, nil, nil, queueConfig{})
+	client, server := net.Pipe()
+	type read struct {
+		first *byte // start of the frame's bytes in the read buffer
+		cap   int
+	}
+	reads := make(chan read, 8)
+	p.wg.Add(1)
+	go p.readLoop(server, func(_ string, data []byte) error {
+		reads <- read{&data[0], cap(data)}
+		return nil
+	})
+	small := bytes.Repeat([]byte{1}, 64)
+	large := bytes.Repeat([]byte{2}, 2*repairChunkBytes)
+	for _, msg := range [][]byte{small, small, large, small, small} {
+		if err := writeFrame(client, "peer", msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	p.wg.Wait()
+	close(reads)
+	var got []read
+	for r := range reads {
+		got = append(got, r)
+	}
+	if len(got) != 5 {
+		t.Fatalf("delivered %d frames, want 5", len(got))
+	}
+	if got[1].first != got[0].first || got[4].first != got[3].first {
+		t.Error("consecutive small frames did not reuse the read buffer")
+	}
+	if got[3].cap > repairChunkBytes {
+		t.Errorf("small frame after a %d-byte one read into a %d-byte buffer, want the large buffer released",
+			len(large), got[3].cap)
 	}
 }
 

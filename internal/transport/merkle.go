@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -391,9 +390,6 @@ var treeLevelOneQuery = func() []uint32 {
 // drill-down rather than a full pull: enough local keys that the hash
 // exchange is cheaper than shipping everything.
 func (s *Store) treeEligible(sh *shard) bool {
-	if s.cfg.NoTreeRepair {
-		return false
-	}
 	sh.mu.Lock()
 	n := len(sh.engine.Keys())
 	sh.mu.Unlock()
@@ -426,7 +422,7 @@ func (s *Store) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 // compared to continue the drill, a Want is served with range data.
 // The decoder bounds Shard only against uint32 (shard counts are not
 // wire-negotiated), so the shard-map skew check happens here.
-func (s *Store) handleTree(from string, tm *protocol.TreeMsg, b *outBatch) {
+func (s *Store) handleTree(from string, tm *protocol.TreeMsg) {
 	if int(tm.Shard) >= len(s.shards) {
 		return // shard-map skew; the digests were never comparable
 	}
@@ -441,7 +437,7 @@ func (s *Store) handleTree(from string, tm *protocol.TreeMsg, b *outBatch) {
 		s.continueDrill(from, tm.Shard, level, tm.Nodes, tm.Hashes)
 	}
 	if len(tm.Want) > 0 {
-		s.serveTreeWant(from, tm.Shard, level, tm.Want, b)
+		s.serveTreeWant(from, tm.Shard, level, tm.Want)
 	}
 }
 
@@ -544,26 +540,15 @@ func (s *Store) continueDrill(from string, shardIdx uint32, level int, nodes []u
 	s.sendTreeQuery(from, shardIdx, level+1, next)
 }
 
-// serveTreeWant ships the requested node ranges' keys in full — the
-// range-limited form of the full-shard repair ship.
-func (s *Store) serveTreeWant(from string, shardIdx uint32, level int, want []uint32, b *outBatch) {
-	batch, ranges, bytes, ok := s.rangeBatch(shardIdx, level, want)
-	if !ok {
-		return
-	}
-	b.sender(shardIdx)(from, batch)
-	s.statsMu.Lock()
-	s.stats.RepairRanges += ranges
-	s.stats.RepairBytes += bytes
-	s.statsMu.Unlock()
-}
-
-// rangeBatch builds a BatchMsg of per-key δ-groups carrying the whole
-// states of the keys whose leaf index falls inside the wanted nodes'
-// ranges — fullShardBatch restricted to diverged ranges. Duplicate and
-// out-of-range want indices are served once or not at all, so the work
-// is bounded by the shard, never the request.
-func (s *Store) rangeBatch(shardIdx uint32, level int, want []uint32) (protocol.Msg, int, int, bool) {
+// serveTreeWant ships the keys in the requested node ranges in full,
+// through the same bounded chunks as a full-shard pull (serveShard).
+// Duplicate and out-of-range want indices are served once or not at
+// all, so the work is bounded by the shard, never the request. When no
+// local key falls in the ranges, the divergence is keys this store
+// lacks, repaired in the opposite direction by its own advertisements;
+// no delivery will clear the peer's repair slot, so it expires by
+// timeout.
+func (s *Store) serveTreeWant(from string, shardIdx uint32, level int, want []uint32) {
 	maxNode := uint32(protocol.TreeNodesAt(level))
 	span := protocol.TreeLeafSpan(level)
 	var leaves treeBitmap
@@ -582,34 +567,15 @@ func (s *Store) rangeBatch(shardIdx uint32, level int, want []uint32) (protocol.
 		}
 	}
 	if ranges == 0 {
-		return nil, 0, 0, false
+		return
 	}
-	sh := s.shards[shardIdx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var items []protocol.ObjectMsg
-	bytes := 0
-	for _, k := range sh.engine.Keys() {
-		if !leaves.has(treeLeafIdx(k)) {
-			continue
-		}
-		st := sh.engine.ObjectState(k).Clone()
-		bytes += len(k) + st.SizeBytes()
-		items = append(items, protocol.ObjectMsg{
-			Key: k,
-			Inner: protocol.NewDeltaMsg(st, metrics.Transmission{
-				Messages:     1,
-				Elements:     st.Elements(),
-				PayloadBytes: st.SizeBytes(),
-			}),
-		})
+	r := repairShip{s: s, to: from}
+	bytes := s.serveShard(&r, shardIdx, &leaves)
+	r.ship()
+	if bytes > 0 {
+		s.statsMu.Lock()
+		s.stats.RepairRanges += ranges
+		s.stats.RepairBytes += bytes
+		s.statsMu.Unlock()
 	}
-	if len(items) == 0 {
-		// Nothing local in those ranges: the divergence is keys this
-		// store lacks, repaired in the opposite direction by its own
-		// advertisements. No delivery will clear the peer's repair slot,
-		// so it expires by timeout.
-		return nil, 0, 0, false
-	}
-	return protocol.BatchOf(items), ranges, bytes, true
 }

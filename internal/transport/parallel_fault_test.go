@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +14,8 @@ import (
 )
 
 // TestParallelWorkersConvergeUnderFaults runs the full fault battery
-// against stores ticking with a 4-wide shard-work pool: 20% frame loss
+// against stores ticking with a 4-wide shard-work pool (a store's pool
+// is as wide as GOMAXPROCS when it starts): 20% frame loss
 // and reordering on every link, plus a partition that isolates one
 // store while updates land on both sides, healed mid-run. Exact
 // convergence afterwards shows the pool's concurrency changes nothing
@@ -21,6 +23,8 @@ import (
 // worker/coordinator handoffs for data races.
 func TestParallelWorkersConvergeUnderFaults(t *testing.T) {
 	const keys = 120
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	var partitioned atomic.Bool
 	partitioned.Store(true)
 	side := map[string]int{"s-00": 0, "s-01": 1, "s-02": 1}
@@ -39,7 +43,6 @@ func TestParallelWorkersConvergeUnderFaults(t *testing.T) {
 		ObjType:     func(string) workload.Datatype { return workload.GCounterType{} },
 		SyncEvery:   15 * time.Millisecond,
 		DigestEvery: 2,
-		SyncWorkers: 4,
 	}, faultFor)
 	for k := 0; k < keys; k++ {
 		stores[k%3].Update(workload.Inc(fmt.Sprintf("key-%03d", k), 1))

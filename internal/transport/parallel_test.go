@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -21,17 +20,16 @@ import (
 // an hour so the tests drive every tick explicitly.
 func newTickStore(t testing.TB, workers int, factory protocol.Factory) *Store {
 	t.Helper()
-	s, err := StartStore(StoreConfig{
-		ID:          "n0",
-		ListenAddr:  "127.0.0.1:0",
-		Peers:       map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:1"},
-		Nodes:       []string{"n0", "p1", "p2"},
-		Shards:      64,
-		Factory:     factory,
-		ObjType:     func(string) workload.Datatype { return workload.GSetType{} },
-		SyncEvery:   time.Hour,
-		SyncWorkers: workers,
-	})
+	s, err := startStore(StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:1"},
+		Nodes:      []string{"n0", "p1", "p2"},
+		Shards:     64,
+		Factory:    factory,
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
+	}, workers)
 	if err != nil {
 		t.Fatalf("StartStore: %v", err)
 	}
@@ -45,19 +43,18 @@ func newTickStore(t testing.TB, workers int, factory protocol.Factory) *Store {
 func newPoolStore(t testing.TB, workers, shards int, snapDir string) *Store {
 	t.Helper()
 	cfg := StoreConfig{
-		ID:          "n0",
-		ListenAddr:  "127.0.0.1:0",
-		Shards:      shards,
-		Factory:     protocol.NewDeltaBPRR(),
-		ObjType:     func(string) workload.Datatype { return workload.GSetType{} },
-		SyncEvery:   time.Hour,
-		SyncWorkers: workers,
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Shards:     shards,
+		Factory:    protocol.NewDeltaBPRR(),
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
 	}
 	if snapDir != "" {
 		cfg.SnapshotDir = snapDir
 		cfg.SnapshotEvery = time.Hour
 	}
-	s, err := StartStore(cfg)
+	s, err := startStore(cfg, workers)
 	if err != nil {
 		t.Fatalf("StartStore: %v", err)
 	}
@@ -65,66 +62,66 @@ func newPoolStore(t testing.TB, workers, shards int, snapDir string) *Store {
 	return s
 }
 
-// TestParallelTickFramesByteIdentical is the tentpole's determinism
-// pin: a pool tick captures emissions per shard (pre-encoding each item
-// on the worker) and merges in ascending shard order, so the packed
-// frame bytes to every destination must equal a serial tick's exactly —
-// including a pure-retransmission round where the acked engines re-emit
-// without new updates.
+// TestParallelTickFramesByteIdentical is the tick's determinism pin:
+// workers capture emissions per shard (pre-encoding each item) and the
+// merge replays them in ascending shard order, so the packed frame bytes
+// to every destination must be the same at pool widths 1 and 4 — and
+// equal to what the packer produces encoding the same items itself,
+// the reference independent of the workers' encoding. Round 2 is a
+// pure-retransmission round where the acked engines re-emit without new
+// updates.
 func TestParallelTickFramesByteIdentical(t *testing.T) {
-	serial := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
-	parallel := newTickStore(t, 4, protocol.NewDeltaAcked(true, true))
+	narrow := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	wide := newTickStore(t, 4, protocol.NewDeltaAcked(true, true))
 	limit := maxMsgFor(maxFrameBytes, "n0")
+	pack := func(items []protocol.ShardItem, encs [][]byte) [][]byte {
+		res, err := packFrames(items, encs, nil, limit)
+		if err != nil {
+			t.Fatalf("pack: %v", err)
+		}
+		var frames [][]byte
+		for _, f := range res.frames {
+			frames = append(frames, f.data)
+		}
+		return frames
+	}
 	for round := 0; round < 3; round++ {
 		if round < 2 { // round 2 ticks with retransmissions only
 			for k := 0; k < 300; k++ {
 				op := workload.Add(fmt.Sprintf("key-%04d", k), fmt.Sprintf("e%d", round))
-				serial.Update(op)
-				parallel.Update(op)
+				narrow.Update(op)
+				wide.Update(op)
 			}
 		}
-		bs, bp := newOutBatch(), newOutBatch()
-		if ts := serial.collectTick(bs); ts != nil {
-			t.Fatalf("round %d: serial store took the parallel tick path", round)
-		}
-		tsp := parallel.collectTick(bp)
-		if tsp == nil {
-			t.Fatalf("round %d: 4-worker store took the serial tick path", round)
-		}
-		if len(bs.order) == 0 {
+		b1, b4 := newOutBatch(), newOutBatch()
+		ts1, ts4 := narrow.collectTick(b1), wide.collectTick(b4)
+		if ts1 == nil || ts4 == nil || len(b1.order) == 0 {
 			t.Fatalf("round %d produced no emissions", round)
 		}
-		if !slices.Equal(bs.order, bp.order) {
-			t.Fatalf("round %d: destination order %v (serial) vs %v (parallel)", round, bs.order, bp.order)
+		if !slices.Equal(b1.order, b4.order) {
+			t.Fatalf("round %d: destination order %v (width 1) vs %v (width 4)", round, b1.order, b4.order)
 		}
-		for _, to := range bs.order {
-			rs, err := packFrames(bs.perDest[to], bs.perEnc[to], nil, limit)
-			if err != nil {
-				t.Fatalf("pack serial: %v", err)
-			}
-			rp, err := packFrames(bp.perDest[to], bp.perEnc[to], nil, limit)
-			if err != nil {
-				t.Fatalf("pack parallel: %v", err)
-			}
-			if len(rs.frames) != len(rp.frames) {
-				t.Fatalf("round %d to %s: %d frames (serial) vs %d (parallel)",
-					round, to, len(rs.frames), len(rp.frames))
-			}
-			for i := range rs.frames {
-				if !bytes.Equal(rs.frames[i].data, rp.frames[i].data) {
-					t.Fatalf("round %d to %s: frame %d bytes differ between serial and parallel ticks",
-						round, to, i)
+		for _, to := range b1.order {
+			ref := pack(b1.perDest[to], nil)
+			for width, b := range map[int]*outBatch{1: b1, 4: b4} {
+				if slices.ContainsFunc(b.perEnc[to], func(e []byte) bool { return e == nil }) {
+					t.Fatalf("round %d to %s: width-%d tick left an item for the packer to encode", round, to, width)
+				}
+				if got := pack(b.perDest[to], b.perEnc[to]); !slices.EqualFunc(got, ref, bytes.Equal) {
+					t.Fatalf("round %d to %s: width-%d tick frames differ from the packer's own encoding of the same items",
+						round, to, width)
 				}
 			}
 		}
-		parallel.releaseTickScratch(tsp)
+		narrow.releaseTickScratch(ts1)
+		wide.releaseTickScratch(ts4)
 	}
-	vs, vp := serial.shardDigests(), parallel.shardDigests()
-	equal := slices.Equal(vs, vp)
-	serial.putDigestVec(vs)
-	parallel.putDigestVec(vp)
+	v1, v4 := narrow.shardDigests(), wide.shardDigests()
+	equal := slices.Equal(v1, v4)
+	narrow.putDigestVec(v1)
+	wide.putDigestVec(v4)
 	if !equal {
-		t.Fatal("digest vectors differ between serial and parallel stores")
+		t.Fatal("digest vectors differ between widths 1 and 4")
 	}
 }
 
@@ -230,22 +227,5 @@ func TestCleanDigestPathNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("clean-store digest path allocates %.1f per run, want 0", allocs)
-	}
-}
-
-// TestResolveSyncWorkers pins the pool-width precedence: explicit
-// config beats the env knob beats GOMAXPROCS, and a malformed knob is
-// ignored.
-func TestResolveSyncWorkers(t *testing.T) {
-	t.Setenv(syncWorkersEnv, "3")
-	if got := resolveSyncWorkers(0); got != 3 {
-		t.Fatalf("env knob: got %d, want 3", got)
-	}
-	if got := resolveSyncWorkers(2); got != 2 {
-		t.Fatalf("explicit config: got %d, want 2", got)
-	}
-	t.Setenv(syncWorkersEnv, "bogus")
-	if got, want := resolveSyncWorkers(0), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("malformed knob: got %d, want GOMAXPROCS (%d)", got, want)
 	}
 }

@@ -1,9 +1,6 @@
 package transport
 
 import (
-	"os"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,31 +16,11 @@ import (
 // destination or files are written, so workers claim shards off a
 // shared cursor, do each shard's work under that shard's own lock, and
 // a single coordinator merges the results in shard order wherever
-// ordering is observable (frame bytes, file writes). One worker means
-// every stage runs inline on the calling goroutine — the pre-pool
-// serial behavior, byte for byte. Digests and Merkle leaves need no
-// stage: each shard patches them incrementally from its changed keys.
-
-// syncWorkersEnv overrides the default pool width when
-// StoreConfig.SyncWorkers is unset — a test-harness knob (CI runs the
-// transport race battery with it >1) that never overrides an explicit
-// configuration.
-const syncWorkersEnv = "CRDTSYNC_SYNC_WORKERS"
-
-// resolveSyncWorkers turns the configured worker count into the
-// effective one: explicit config wins, then the env knob, then
-// GOMAXPROCS.
-func resolveSyncWorkers(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	if v := os.Getenv(syncWorkersEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// ordering is observable (frame bytes, file writes). The pool is
+// GOMAXPROCS wide, fixed when the store starts; each stage has one code
+// path at every width, and at width 1 it runs inline on the calling
+// goroutine. Digests and Merkle leaves need no stage: each shard
+// patches them incrementally from its changed keys.
 
 // runShardStage fans fn(worker, shard) over the whole shard index space
 // on up to s.workers workers, the calling goroutine serving as worker 0 —
@@ -84,13 +61,12 @@ func (s *Store) runShardStage(fn func(worker, shard int)) {
 	wg.Wait()
 }
 
-// tickEmit is one engine emission captured during a parallel tick,
-// replayed in ascending shard order by the merge so per-destination
-// item sequences — and therefore packed frame bytes — stay identical
-// to a serial tick's. enc is the emission's ShardItem encoding,
-// produced by the capturing worker (pointing into its shard's arena in
-// tickScratch.bufs) so the packer ships it verbatim instead of
-// re-encoding on the coordinator; nil means the packer encodes.
+// tickEmit is one engine emission captured during a tick, replayed in
+// ascending shard order by the merge so per-destination item sequences
+// — and therefore packed frame bytes — do not depend on the pool width.
+// enc is the emission's ShardItem encoding, produced by the capturing
+// worker (pointing into its shard's arena in tickScratch.bufs) so the
+// packer ships it verbatim instead of re-encoding on the coordinator.
 type tickEmit struct {
 	to  string
 	m   protocol.Msg

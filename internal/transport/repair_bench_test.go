@@ -26,14 +26,17 @@ type repairMeasurement struct {
 // measureRepair stages two stores that agree on keys single-shard
 // GSet objects, diverges exactly one key on the first through a black
 // hole, heals, and measures the wire cost of repairing it — with the
-// Merkle drill-down or (noTree) the flat full-shard pull it replaces.
+// Merkle drill-down or (noTree) the flat full-shard pull it replaces,
+// forced by a drill-down threshold above the shard's key count.
 func measureRepair(t *testing.T, keys int, noTree bool) repairMeasurement {
 	t.Helper()
 	f0, f1 := NewFault(11), NewFault(12)
 	f0.SetDropRate(1)
 	f1.SetDropRate(1)
 	cfg := repairPairConfig()
-	cfg.NoTreeRepair = noTree
+	if noTree {
+		cfg.TreeRepairMinKeys = keys + 2
+	}
 	stores := startFaultyPair(t, cfg, [2]*Fault{f0, f1})
 	s0, s1 := stores[0], stores[1]
 

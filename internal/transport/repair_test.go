@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,36 +272,6 @@ func TestSmallShardFlatRepair(t *testing.T) {
 	}
 }
 
-// TestNoTreeRepairKnob: with the drill-down disabled, a large diverged
-// shard falls back to the flat full pull.
-func TestNoTreeRepairKnob(t *testing.T) {
-	s, err := StartStore(StoreConfig{
-		ID:           "n0",
-		ListenAddr:   "127.0.0.1:0",
-		Shards:       1,
-		Factory:      protocol.NewDeltaBPRR(),
-		ObjType:      func(string) workload.Datatype { return workload.GSetType{} },
-		NoTreeRepair: true,
-	})
-	if err != nil {
-		t.Fatalf("StartStore: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	for i := 0; i < 600; i++ {
-		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
-	}
-	s.SyncNow() // settle the writes, as in TestSmallShardFlatRepair
-	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil,
-		protocol.DigestCost([]uint64{12345}, nil)))
-	if err := s.deliver("peer", adv); err != nil {
-		t.Fatalf("deliver: %v", err)
-	}
-	st := s.Stats()
-	if st.WantShards != 1 || st.TreeRounds != 0 {
-		t.Errorf("WantShards = %d TreeRounds = %d, want flat pull only", st.WantShards, st.TreeRounds)
-	}
-}
-
 // TestDigestMismatchHeldWhileShardPending pins the hold: a peer's
 // advertisement that differs only in a shard whose local write has not
 // shipped yet is no evidence of divergence, so it starts no repair; the
@@ -417,6 +389,73 @@ func TestServeWantsSharesFrames(t *testing.T) {
 	}
 	if got := after.Frames - before.Frames; got != 1 {
 		t.Errorf("a Want for %d small shards went out as %d frames, want 1", len(s.shards), got)
+	}
+}
+
+// TestTreeWantShipsBoundedChunks: a leaf-level tree Want is answered
+// through the same bounded ship as a full-shard pull, so ranges holding
+// more than a repair chunk of payload go out as several frames, none
+// larger than one chunk plus its encoding overhead, instead of one
+// unbounded batch cloned under a single shard-lock hold.
+func TestTreeWantShipsBoundedChunks(t *testing.T) {
+	release := make(chan struct{})
+	s, err := startStore(StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[string]string{"p1": "127.0.0.1:1"},
+		Shards:     1,
+		Factory:    protocol.NewDeltaBPRR(),
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
+		// The dial parks until cleanup, so every frame stays countable:
+		// queued, or the one frame the writer popped before dialing.
+		Dial: func(string, string) (net.Conn, error) {
+			<-release
+			return nil, errors.New("unreachable")
+		},
+	}, 1)
+	if err != nil {
+		t.Fatalf("StartStore: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() { close(release) }) // runs first: unparks the writer
+	elem := strings.Repeat("x", 40<<10)
+	var want []uint32
+	for i := 0; i < 64; i++ { // ≈2.5 MiB of payload
+		k := fmt.Sprintf("big-%02d", i)
+		s.Update(workload.Add(k, elem))
+		want = append(want, treeLeafIdx(k))
+	}
+	m := protocol.NewTreeMsg(0, protocol.TreeDepth, nil, nil, nil, want,
+		protocol.TreeCost(nil, nil, nil, want))
+	if err := s.deliver("p1", encodeFrame(t, m)); err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	st := s.Stats()
+	if st.RepairBytes <= repairChunkBytes {
+		t.Fatalf("served %d payload bytes, want more than one chunk (%d)", st.RepairBytes, repairChunkBytes)
+	}
+	pc := s.net.peers["p1"]
+	pc.mu.Lock()
+	var sizes []int
+	for _, f := range pc.queue {
+		sizes = append(sizes, len(f))
+	}
+	if popped := pc.stats.EnqueuedBytes - pc.qbytes; popped > 0 {
+		sizes = append(sizes, popped)
+	}
+	pc.mu.Unlock()
+	if len(sizes) != st.Frames {
+		t.Fatalf("accounted for %d frames, Stats().Frames = %d", len(sizes), st.Frames)
+	}
+	if len(sizes) < 2 {
+		t.Errorf("%d payload bytes went out as %d frame(s), want at least 2", st.RepairBytes, len(sizes))
+	}
+	const overhead = 4 << 10 // item tags, keys and lengths, frame header
+	for i, n := range sizes {
+		if n > repairChunkBytes+overhead {
+			t.Errorf("frame %d is %d bytes, over the %d-byte repair chunk", i, n, repairChunkBytes)
+		}
 	}
 }
 
@@ -596,8 +635,6 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "v"))
 	}
-	d := getDeliverState()
-	defer d.release()
 	cost := protocol.TreeCost(nil, nil, nil, nil)
 	hostile := []*protocol.TreeMsg{
 		protocol.NewTreeMsg(99, 1, []uint32{0}, nil, nil, nil, cost), // shard skew
@@ -608,14 +645,14 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 		protocol.NewTreeMsg(0, 3, nil, nil, nil, []uint32{protocol.TreeLeaves + 5}, cost),
 	}
 	for _, m := range hostile {
-		s.handleTree("peer", m, d.b)
+		s.handleTree("peer", m)
 	}
 	// A duplicated Want serves each range once.
 	wantAll := make([]uint32, 0, 2*protocol.TreeFanout)
 	for c := uint32(0); c < protocol.TreeFanout; c++ {
 		wantAll = append(wantAll, c, c) // every level-1 node, twice
 	}
-	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil, nil, nil, wantAll, cost), d.b)
+	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil, nil, nil, wantAll, cost))
 	if got := s.Stats().RepairRanges; got != protocol.TreeFanout {
 		t.Errorf("duplicated Want served %d ranges, want %d", got, protocol.TreeFanout)
 	}
@@ -634,8 +671,6 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "v"))
 	}
-	d := getDeliverState()
-	defer d.release()
 	// Arm an in-flight repair toward the hostile peer so the answer
 	// passes the freshness gate — the state a real drill is in when an
 	// answer arrives.
@@ -646,12 +681,12 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	maxNode := uint32(protocol.TreeNodesAt(1))
 	// Every index out of range for level 1: pre-fix this panicked.
 	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil,
-		[]uint32{maxNode, 1 << 30}, []uint64{0, 0}, nil, cost), d.b)
+		[]uint32{maxNode, 1 << 30}, []uint64{0, 0}, nil, cost))
 	// The unusable answer must not have cleared the repair: a mixed
 	// answer on the same slot still drills into its one valid index.
 	rounds := s.Stats().TreeRounds
 	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil,
-		[]uint32{3, maxNode}, []uint64{0xdeadbeef, 0}, nil, cost), d.b)
+		[]uint32{3, maxNode}, []uint64{0xdeadbeef, 0}, nil, cost))
 	if got := s.Stats().TreeRounds; got != rounds+1 {
 		t.Errorf("mixed answer drilled %d new rounds, want 1 (valid index alone)", got-rounds)
 	}

@@ -64,45 +64,35 @@ func (s *Store) SnapshotNow() error {
 	defer s.snapMu.Unlock()
 	var firstErr error
 	written, bytes := 0, 0
-	write := func(i int, data []byte, digest uint64) {
-		if err := writeFileAtomic(snapshotPath(s.cfg.SnapshotDir, i), data); err != nil {
+	type encoded struct {
+		idx    int
+		data   []byte
+		digest uint64
+	}
+	// Workers encode, this goroutine writes in arrival order. The
+	// channel's capacity bounds the finished-but-unwritten encodings held
+	// in memory to roughly one per worker; the channel receive also
+	// orders each shard's snapLast read (in encodeShardSnapshot) before
+	// its write below.
+	results := make(chan encoded, s.workers)
+	go func() {
+		defer close(results)
+		s.runShardStage(func(_, i int) {
+			if data, digest, changed := s.encodeShardSnapshot(i, s.shards[i]); changed {
+				results <- encoded{i, data, digest}
+			}
+		})
+	}()
+	for r := range results {
+		if err := writeFileAtomic(snapshotPath(s.cfg.SnapshotDir, r.idx), r.data); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			return
+			continue
 		}
-		s.snapLast[i] = digest
+		s.snapLast[r.idx] = r.digest
 		written++
-		bytes += len(data)
-	}
-	if s.workers > 1 {
-		type encoded struct {
-			idx    int
-			data   []byte
-			digest uint64
-		}
-		// The channel's capacity bounds the finished-but-unwritten
-		// encodings held in memory to roughly one per worker; the
-		// channel receive also orders each shard's snapLast read (in
-		// encodeShardSnapshot) before its write below.
-		results := make(chan encoded, s.workers)
-		go func() {
-			defer close(results)
-			s.runShardStage(func(_, i int) {
-				if data, digest, changed := s.encodeShardSnapshot(i, s.shards[i]); changed {
-					results <- encoded{i, data, digest}
-				}
-			})
-		}()
-		for r := range results {
-			write(r.idx, r.data, r.digest)
-		}
-	} else {
-		for i, sh := range s.shards {
-			if data, digest, changed := s.encodeShardSnapshot(i, sh); changed {
-				write(i, data, digest)
-			}
-		}
+		bytes += len(r.data)
 	}
 	if written > 0 {
 		s.statsMu.Lock()

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,12 +78,6 @@ type StoreConfig struct {
 	// anything above the transport-wide maximum means the 64 MiB
 	// transport cap. Tests lower it to exercise packing cheaply.
 	MaxFrameBytes int
-	// NoDigestPiggyback disables merging the digest advertisement into
-	// outgoing data frames: every advertisement rides its own DigestMsg
-	// frame, as it did before piggybacking existed. A measurement knob
-	// (syncbench -no-piggyback compares the two), not a production
-	// setting.
-	NoDigestPiggyback bool
 	// RepairTimeout bounds how long one shard's repair request (flat
 	// Want or tree drill-down) stays in flight before a digest mismatch
 	// may retrigger it (default 1s). While a repair is in flight further
@@ -99,12 +95,9 @@ type StoreConfig struct {
 	// TreeRepairMinKeys is the local key count from which a diverged
 	// shard repairs by Merkle drill-down instead of a full-shard pull
 	// (default 256). Below it, shipping the shard whole is cheaper than
-	// the hash exchange.
+	// the hash exchange; a value above every shard's size disables the
+	// drill-down.
 	TreeRepairMinKeys int
-	// NoTreeRepair disables the Merkle drill-down: every diverged shard
-	// is pulled whole, as before. A measurement knob (the repair
-	// benchmark compares the two), not a production setting.
-	NoTreeRepair bool
 	// SnapshotDir, when set, enables crash-restart durability: a
 	// background snapshotter periodically serializes each shard's objects
 	// through the canonical codec to an atomic-rename file per shard in
@@ -120,15 +113,6 @@ type StoreConfig struct {
 	// last snapshot, so a quiescent store's pass costs a few atomic
 	// loads and no I/O.
 	SnapshotEvery time.Duration
-	// SyncWorkers bounds the shard-work pool: the workers the CPU-heavy
-	// per-shard stages (the sync tick with its item encoding, snapshot
-	// encoding, and the Keys and Memory walks) fan out across. 1 pins
-	// every stage to the calling goroutine — the pre-pool serial behavior.
-	// 0 (the default) uses the CRDTSYNC_SYNC_WORKERS environment
-	// variable if set, else GOMAXPROCS. Frame contents are byte-identical
-	// at any setting: workers capture per-shard output and the tick
-	// merges it in shard order before packing.
-	SyncWorkers int
 }
 
 // StoreStats counts what a store has put on the wire.
@@ -157,8 +141,8 @@ type StoreStats struct {
 	// every heartbeat; raise MaxFrameBytes or shrink the object.
 	OversizedDropped int
 	// WantShards counts shards this store requested from peers in full
-	// after a digest mismatch — small shards, drill-downs that found
-	// most of a shard diverged, and tree repair disabled.
+	// after a digest mismatch — small shards, and drill-downs that found
+	// most of a shard diverged or kept timing out.
 	WantShards int
 	// RepairShards counts full shards this store served to peers that
 	// requested them.
@@ -215,8 +199,8 @@ type StoreStats struct {
 	// channel too slowly. The watcher itself learns the same fact from
 	// the Lagged mark on its next event.
 	WatchDropped int
-	// SyncWorkers is the effective shard-work pool width (resolved from
-	// StoreConfig.SyncWorkers / CRDTSYNC_SYNC_WORKERS / GOMAXPROCS).
+	// SyncWorkers is the shard-work pool width: GOMAXPROCS when the
+	// store started.
 	SyncWorkers int
 	// SyncWorkerShards counts, per pool worker, the shards that worker
 	// claimed across all parallel stages — skew between entries means
@@ -408,8 +392,15 @@ func nextPow2(n int) int {
 }
 
 // StartStore binds the listener, builds one per-object engine per shard,
-// and launches the accept and synchronization loops.
+// and launches the accept and synchronization loops. The shard-work pool
+// is GOMAXPROCS wide: more workers than cores only adds scheduling.
 func StartStore(cfg StoreConfig) (*Store, error) {
+	return startStore(cfg, runtime.GOMAXPROCS(0))
+}
+
+// startStore is StartStore with an explicit pool width, so tests can
+// pin a width independent of the host's core count.
+func startStore(cfg StoreConfig, workers int) (*Store, error) {
 	if cfg.Factory == nil || cfg.ObjType == nil {
 		return nil, fmt.Errorf("transport: StoreConfig needs Factory and ObjType")
 	}
@@ -489,7 +480,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		neighbors: neighbors,
 		stopping:  make(chan struct{}),
 	}
-	s.workers = resolveSyncWorkers(cfg.SyncWorkers)
+	s.workers = workers
 	s.workerShards = make([]atomic.Uint64, s.workers)
 	s.workerBusy = make([]atomic.Int64, s.workers)
 	s.tickPool.New = func() any {
@@ -686,7 +677,7 @@ func (s *Store) Ticks() uint64 { return s.ticks.Load() }
 // perEnc runs parallel to perDest: entry i is item i's pre-encoded
 // ShardItem bytes when a pool worker encoded it at capture time (the
 // packer ships those verbatim), nil when the packer encodes the item
-// itself — the serial tick and every inbound reply path.
+// itself — every inbound reply and repair path.
 type outBatch struct {
 	perDest map[string][]protocol.ShardItem
 	perEnc  map[string][][]byte
@@ -812,8 +803,8 @@ func (d *replySink) flush(b *outBatch) {
 // the coalesced frames. Clean shards — the steady state of an idle
 // keyspace — are skipped without taking their locks, so the tick is
 // O(dirty shards). The per-shard work — engine.Sync plus item capture
-// and encoding — fans out across the shard-work pool
-// (StoreConfig.SyncWorkers) with frame bytes unchanged. Every
+// and encoding — fans out across the shard-work pool, with frame bytes
+// independent of its width. Every
 // DigestEvery ticks the per-shard digest vector goes out with the same
 // flush: piggybacked on a data frame to each peer that is getting one
 // anyway, as a standalone heartbeat only to peers the tick has nothing
@@ -833,11 +824,7 @@ func (s *Store) SyncNow() {
 		vec = s.shardDigests()
 		defer s.putDigestVec(vec)
 	}
-	piggyback := vec
-	if s.cfg.NoDigestPiggyback {
-		piggyback = nil
-	}
-	covered := s.flush(b, piggyback)
+	covered := s.flush(b, vec)
 	if vec == nil {
 		return
 	}
@@ -856,49 +843,19 @@ func (s *Store) SyncNow() {
 }
 
 // collectTick runs the per-shard sync stage, accumulating every engine
-// emission on b in ascending shard order. With one worker (or fewer
-// than two dirty shards) it is the plain serial walk; otherwise workers
-// claim dirty shards off the shared cursor, run engine.Sync under each
-// shard's lock capturing emissions privately — encoding each emission
-// into the shard's arena as it is captured, so the per-item codec work
-// rides the pool too — and the merge replays them in shard order. Per-
-// destination item sequences, and therefore packed frame bytes, are
-// identical to a serial tick's (pinned by the determinism test).
+// emission on b in ascending shard order. Workers claim shards off the
+// shared cursor, run engine.Sync on each dirty one under its lock and
+// capture the emissions privately — encoding each into the shard's arena
+// as it is captured, so the per-item codec work rides the pool too — and
+// the merge replays them in shard order. Per-destination item sequences,
+// and therefore packed frame bytes, are the same at every pool width
+// (pinned by the determinism test).
 //
-// The returned scratch is non-nil exactly when the parallel path ran;
+// The returned scratch is nil only when no shard was dirty; otherwise
 // the caller must hand it to releaseTickScratch only after flush has
 // consumed b (the pre-encoded bytes live in the scratch arenas).
 func (s *Store) collectTick(b *outBatch) *tickScratch {
-	dirty := 0
-	for _, sh := range s.shards {
-		if sh.dirty.Load() {
-			dirty++
-		}
-	}
-	if dirty == 0 {
-		return nil
-	}
-	if s.workers <= 1 || dirty < 2 {
-		for i, sh := range s.shards {
-			if !sh.dirty.Load() {
-				continue
-			}
-			sh.mu.Lock()
-			sh.dirty.Store(false)
-			emitted := false
-			send := b.sender(uint32(i))
-			sh.engine.Sync(func(to string, m protocol.Msg) {
-				emitted = true
-				send(to, m)
-			})
-			if emitted {
-				// The engine may need to emit again (unacked
-				// retransmissions, Scuttlebutt digests): revisit next tick.
-				sh.dirty.Store(true)
-			}
-			sh.pending.Store(emitted)
-			sh.mu.Unlock()
-		}
+	if !slices.ContainsFunc(s.shards, func(sh *shard) bool { return sh.dirty.Load() }) {
 		return nil
 	}
 	ts := s.tickPool.Get().(*tickScratch)
@@ -918,17 +875,16 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 			var err error
 			buf, err = codec.AppendShardItem(buf, protocol.ShardItem{Shard: uint32(i), Msg: m})
 			if err != nil {
-				// Unencodable message: capture without bytes so the
-				// packer's own encode surfaces the same error the
-				// serial path would (flush panics on it).
-				buf = buf[:start]
-				out = append(out, tickEmit{to: to, m: m})
-				return
+				// An engine emitted a message the codec cannot encode: a
+				// programming error in the engine/codec pairing.
+				panic(err)
 			}
 			out = append(out, tickEmit{to: to, m: m, enc: buf[start:]})
 		})
 		if emitted {
-			sh.dirty.Store(true) // more to emit next tick (see serial path)
+			// The engine may need to emit again (unacked
+			// retransmissions, Scuttlebutt digests): revisit next tick.
+			sh.dirty.Store(true)
 		}
 		sh.pending.Store(emitted)
 		sh.mu.Unlock()
@@ -1158,12 +1114,7 @@ func (s *Store) deliverControl(from string, frame []byte) error {
 		s.serveWants(from, m.Want, d.seenShards(len(s.shards)))
 		s.handleDigests(from, m.Digests)
 	case *protocol.TreeMsg:
-		s.handleTree(from, m, d.b)
-	default:
-		return nil // stores speak only sharded, digest and tree frames
-	}
-	if len(d.b.order) > 0 {
-		s.flush(d.b, nil)
+		s.handleTree(from, m)
 	}
 	return nil
 }
@@ -1182,7 +1133,7 @@ func (s *Store) serveWants(from string, want []uint32, seen []bool) {
 			continue // hostile or stale request; serve each shard once
 		}
 		seen[idx] = true
-		if n := s.serveShard(&r, idx); n > 0 {
+		if n := s.serveShard(&r, idx, nil); n > 0 {
 			served++
 			bytes += n
 		}
@@ -1197,18 +1148,17 @@ func (s *Store) serveWants(from string, want []uint32, seen []bool) {
 }
 
 // repairChunkBytes caps the key+state payload cloned and shipped per
-// chunk when serving a full-shard pull. A wide-divergence repair on a
-// large shard — restoring a peer from a stale snapshot is exactly this
-// workload — used to materialize the entire shard as one monolithic
-// batch and lean on the packer to split it; chunking bounds the clone
+// repair chunk, for full-shard pulls and tree-range Wants alike. A
+// wide-divergence repair on a large shard — restoring a peer from a
+// stale snapshot is exactly this workload — would otherwise materialize
+// its whole answer as one monolithic batch; chunking bounds the clone
 // held in memory and the shard-lock hold time to one chunk at a time.
 const repairChunkBytes = 1 << 20
 
-// repairShip gathers full-shard repair chunks toward one peer across the
-// shards of one Want, so a Want for several small shards is answered
-// with one frame instead of a burst of one frame per shard — a burst
-// that could overflow the peer's queue and drop frames on a healthy
-// link.
+// repairShip gathers repair chunks toward one peer across the shards of
+// one Want, so a Want for several small shards is answered with one
+// frame instead of a burst of one frame per shard — a burst that could
+// overflow the peer's queue and drop frames on a healthy link.
 type repairShip struct {
 	s       *Store
 	to      string
@@ -1226,20 +1176,30 @@ func (r *repairShip) ship() {
 	r.pending = 0
 }
 
-// serveShard streams one shard's full contents to a peer as a sequence
-// of bounded BatchMsgs of per-key δ-groups carrying whole object states.
-// A full state is a valid δ-group, so the receiver merges each chunk
-// through the ordinary per-object delivery path (RR extracts exactly the
-// missing part) and propagates anything new onwards. The key list is
-// copied once up front; the shard lock is released between chunks (the
-// keyspace is grow-only, and a state mutated meanwhile ships its newer
-// value — anti-entropy never needs a point-in-time cut). Chunks gather
-// on r and ship whenever a chunk's budget fills. Returns the key+state
-// payload bytes gathered.
-func (s *Store) serveShard(r *repairShip, idx uint32) int {
+// serveShard streams one shard's contents to a peer as a sequence of
+// bounded BatchMsgs of per-key δ-groups carrying whole object states:
+// every key when leaves is nil, else the keys in the marked Merkle
+// leaves. A full state is a valid δ-group, so the receiver merges each
+// chunk through the ordinary per-object delivery path (RR extracts
+// exactly the missing part) and propagates anything new onwards. The key
+// list is copied once up front; the shard lock is released between
+// chunks (the keyspace is grow-only, and a state mutated meanwhile ships
+// its newer value — anti-entropy never needs a point-in-time cut).
+// Chunks gather on r and ship whenever a chunk's budget fills. Returns
+// the key+state payload bytes gathered.
+func (s *Store) serveShard(r *repairShip, idx uint32, leaves *treeBitmap) int {
 	sh := s.shards[idx]
 	sh.mu.Lock()
-	keys := append([]string(nil), sh.engine.Keys()...)
+	var keys []string
+	if leaves == nil {
+		keys = append(keys, sh.engine.Keys()...)
+	} else {
+		for _, k := range sh.engine.Keys() {
+			if leaves.has(treeLeafIdx(k)) {
+				keys = append(keys, k)
+			}
+		}
+	}
 	sh.mu.Unlock()
 	budget := min(s.maxMsgBytes()/2, repairChunkBytes)
 	total := 0

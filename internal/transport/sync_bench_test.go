@@ -16,7 +16,7 @@ import (
 // I/O on the timed path).
 func benchTickStore(b *testing.B, workers int) (*Store, []string) {
 	b.Helper()
-	s, err := StartStore(StoreConfig{
+	s, err := startStore(StoreConfig{
 		ID:           "n0",
 		ListenAddr:   "127.0.0.1:0",
 		Peers:        map[string]string{"sink": "127.0.0.1:1"},
@@ -25,9 +25,8 @@ func benchTickStore(b *testing.B, workers int) (*Store, []string) {
 		Factory:      protocol.NewDeltaBPRR(),
 		ObjType:      func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:    time.Hour,
-		SyncWorkers:  workers,
 		PeerQueueLen: 1,
-	})
+	}, workers)
 	if err != nil {
 		b.Fatalf("StartStore: %v", err)
 	}
@@ -41,9 +40,9 @@ func benchTickStore(b *testing.B, workers int) (*Store, []string) {
 
 // BenchmarkSyncTick measures one all-dirty 64-shard sync tick — the
 // dirty scan, engine.Sync per shard, item encoding, frame packing and
-// enqueue — serial versus fanned across the shard-work pool. Run with
-// -cpu 1,2,4,8 for the scaling curve; "pool" sizes itself from
-// GOMAXPROCS, so at -cpu 1 the two sub-benchmarks coincide (the pool
+// enqueue — on one worker ("serial") versus the GOMAXPROCS-wide pool
+// every store starts with ("pool"). Run with -cpu 1,2,4,8 for the
+// scaling curve; at -cpu 1 the two sub-benchmarks coincide (the pool
 // runs inline on the caller).
 func BenchmarkSyncTick(b *testing.B) {
 	run := func(workers func() int) func(*testing.B) {

@@ -56,32 +56,32 @@ func writeFrame(w io.Writer, from string, msg []byte) error {
 
 // readFrameInto parses one frame into *buf, growing it only when a frame
 // exceeds its capacity, so a connection's read loop amortizes one buffer
-// across every frame it ever receives. The returned msg aliases *buf and
-// is valid only until the next call with the same buffer — the deliver
+// across the frames it receives. The returned from and msg alias *buf and
+// are valid only until the next call with the same buffer — the deliver
 // path must be done with the bytes (or have copied what it keeps, which
 // the codec's decoders always do) before the loop reads the next frame.
-func readFrameInto(r io.Reader, buf *[]byte) (from string, msg []byte, err error) {
+func readFrameInto(r io.Reader, buf *[]byte) (from, msg []byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	total := binary.BigEndian.Uint32(hdr[:])
 	if total > maxFrameBytes {
-		return "", nil, ErrFrameTooLarge
+		return nil, nil, ErrFrameTooLarge
 	}
 	if uint32(cap(*buf)) < total {
 		*buf = make([]byte, total)
 	}
 	body := (*buf)[:total]
 	if _, err = io.ReadFull(r, body); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if len(body) < 2 {
-		return "", nil, io.ErrUnexpectedEOF
+		return nil, nil, io.ErrUnexpectedEOF
 	}
 	fromLen := int(body[0])<<8 | int(body[1])
 	if len(body) < 2+fromLen {
-		return "", nil, io.ErrUnexpectedEOF
+		return nil, nil, io.ErrUnexpectedEOF
 	}
-	return string(body[2 : 2+fromLen]), body[2+fromLen:], nil
+	return body[2 : 2+fromLen], body[2+fromLen:], nil
 }
