@@ -145,8 +145,8 @@ func runStoreBench(cfg storeBenchConfig) {
 			total.SplitFrames, total.OversizedDropped)
 	}
 	if total.TreeRounds > 0 || total.DedupedWants > 0 || total.HeldRepairs > 0 {
-		fmt.Printf("repair: %d drill-down rounds, %d key ranges served, %s repair payload, %d wants deduped against in-flight repairs, %d held while the shard's own δs were in flight\n",
-			total.TreeRounds, total.RepairRanges, fmtBytes(total.RepairBytes), total.DedupedWants, total.HeldRepairs)
+		fmt.Printf("repair: %d drill-down rounds (%d found no differing range), %d key ranges served, %s repair payload, %d wants deduped against in-flight repairs, %d held while δs were in flight\n",
+			total.TreeRounds, total.EmptyDrills, total.RepairRanges, fmtBytes(total.RepairBytes), total.DedupedWants, total.HeldRepairs)
 	}
 	if total.DigestShardMismatch > 0 {
 		// Nonzero only when a peer advertises digests for a different shard
@@ -166,16 +166,22 @@ func runStoreBench(cfg storeBenchConfig) {
 			float64(total.Frames)/float64(cfg.Nodes))
 	}
 	var enq, enqBytes, dropped, droppedBytes, coalesced, reconnects int
+	var overflow, dial, write, closing int
 	for _, ps := range total.Peers {
 		enq += ps.Enqueued
 		enqBytes += ps.EnqueuedBytes
 		dropped += ps.Dropped
 		droppedBytes += ps.DroppedBytes
+		overflow += ps.DroppedOverflow
+		dial += ps.DroppedDial
+		write += ps.DroppedWrite
+		closing += ps.DroppedClosing
 		coalesced += ps.Coalesced
 		reconnects += ps.Reconnects
 	}
-	fmt.Printf("pipeline: %d frames enqueued (%s), %d dropped (%s; queue overflow / failed sends), %d coalesced on drain, %d reconnects\n",
-		enq, fmtBytes(enqBytes), dropped, fmtBytes(droppedBytes), coalesced, reconnects)
+	fmt.Printf("pipeline: %d frames enqueued (%s), %d dropped (%s; %d queue overflow, %d failed dials, %d failed writes, %d at close), %d ack frames, %d coalesced on drain, %d reconnects\n",
+		enq, fmtBytes(enqBytes), dropped, fmtBytes(droppedBytes), overflow, dial, write, closing,
+		total.AckFrames, coalesced, reconnects)
 	if total.SyncWorkers > 1 {
 		busy := make([]time.Duration, len(total.SyncWorkerBusyNs))
 		for i, ns := range total.SyncWorkerBusyNs {

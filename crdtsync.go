@@ -102,9 +102,17 @@ type DialFunc = transport.DialFunc
 type Engine int
 
 const (
-	// EngineAcked is delta-based BP+RR with acknowledgements: δ-groups
-	// are retransmitted until acked, so lost frames are repaired by the
-	// engine itself. The default, safe on lossy links.
+	// EngineAcked is delta-based BP+RR with acknowledgements, run as one
+	// δ-stream per (peer, shard): each shard numbers its buffered δs,
+	// ships every peer the joined δs of the range it has not sent yet,
+	// and the peer acks each touched shard with one cumulative watermark
+	// as soon as a frame is applied. Unacked ranges are retransmitted
+	// after a timeout (RFC 6298), so lost frames are repaired by the
+	// engine itself; a peer that stops acking is cut over to digest
+	// repair, which bounds the buffer it holds. With WithDigestEvery, a
+	// digest mismatch is held for exactly as long as the stream to that
+	// peer has δs in flight. The default, safe on lossy links. Its wire
+	// format is not compatible with earlier versions of this package.
 	EngineAcked Engine = iota
 	// EngineDelta is plain delta-based BP+RR, the paper's optimal
 	// engine; it assumes frames are never lost. Pair it with digest

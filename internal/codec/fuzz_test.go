@@ -61,16 +61,16 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 	}
 	seed(protocol.NewDeltaMsg(crdt.NewGSet("x"), cost))
-	seed(protocol.NewAckMsg([]uint64{1, 2}, cost))
+	seed(&protocol.StreamAckMsg{Seq: 2})
 	// The store's wire frames: batched sharded data and digests.
 	batch := protocol.NewBatchMsg([]protocol.ObjectMsg{
 		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost)},
-		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3}, cost)},
+		{Key: "obj:2", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"), cost)},
 	}, cost)
 	seed(batch)
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9}, cost)},
+		{Shard: 7, Msg: &protocol.StreamAckMsg{Seq: 9}},
 	}))
 	// The digest-carrying sharded variant (piggybacked anti-entropy).
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
@@ -93,6 +93,19 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{73, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // digest, hostile count
 	f.Add([]byte{74, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
 	f.Add([]byte{75, 0, 0, 0, 0, 0, 3, 0, 255, 255, 15})  // tree, hostile node count
+	// The δ-stream: a range item, an ack, both inside a sharded frame,
+	// and hostile ranges and counts.
+	stream := protocol.NewStreamMsg(12, 15, []protocol.ObjectMsg{
+		{Key: "obj:1", Inner: protocol.DeltaOf(crdt.NewGSet("a"))},
+	})
+	seed(stream)
+	seed(&protocol.StreamAckMsg{Seq: 1 << 33})
+	seed(protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 1, Msg: stream},
+		{Shard: 4, Msg: &protocol.StreamAckMsg{Seq: 15}},
+	}))
+	f.Add([]byte{76, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 1, 0}) // range end overflows
+	f.Add([]byte{76, 0, 1, 255, 255, 255, 255, 15})                         // hostile item count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

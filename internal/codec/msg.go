@@ -15,8 +15,8 @@ import (
 const (
 	tagStateMsg byte = iota + 64
 	tagDeltaMsg
-	tagAckedDeltaMsg
-	tagAckMsg
+	_ // retired: the per-object acked δ, replaced by tagStreamMsg
+	_ // retired: its seq-list ack, replaced by tagStreamAck
 	tagSBDigestMsg
 	tagSBDeltasMsg
 	tagOpsMsg
@@ -25,6 +25,8 @@ const (
 	tagDigestMsg
 	tagShardedDigestMsg
 	tagTreeMsg
+	tagStreamMsg
+	tagStreamAck
 )
 
 // maxMsgNesting bounds message nesting during decoding. Legitimate
@@ -53,11 +55,78 @@ func decodeMsg(data []byte, depth int) (protocol.Msg, int, error) {
 	if len(data) == 0 {
 		return nil, 0, ErrTruncated
 	}
-	m, n, err := readMsgBody(data[0], data[1:], depth)
+	var (
+		m   protocol.Msg
+		n   int
+		err error
+	)
+	switch data[0] {
+	case tagStreamMsg, tagStreamAck:
+		m, n, err = readStreamBody(data[0], data[1:])
+	default:
+		m, n, err = readMsgBody(data[0], data[1:], depth)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
 	return m, n + 1, nil
+}
+
+// The δ-stream messages carry no accounting record: it is derived from
+// their contents on decode, so the range — a start and a length — is
+// their only metadata, and an ack is one watermark.
+
+// readStreamHeader decodes a StreamMsg's range and item count, rejecting
+// a range whose end overflows.
+func readStreamHeader(data []byte) (start, end, count uint64, n int, err error) {
+	start, n, err = readUvarint(data)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	span, m, err := readUvarint(data[n:])
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	n += m
+	if span > math.MaxUint64-start {
+		return 0, 0, 0, 0, fmt.Errorf("codec: stream range %d+%d overflows", start, span)
+	}
+	count, m, err = readUvarint(data[n:])
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	return start, start + span, count, n + m, nil
+}
+
+func readStreamBody(tag byte, data []byte) (protocol.Msg, int, error) {
+	if tag == tagStreamAck {
+		seq, n, err := readUvarint(data)
+		if err != nil {
+			return nil, 0, err
+		}
+		return &protocol.StreamAckMsg{Seq: seq}, n, nil
+	}
+	start, end, count, n, err := readStreamHeader(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Every item is at least a key length and a state tag: a hostile
+	// count is bounded by the remaining bytes before allocating.
+	items := make([]protocol.ObjectMsg, 0, capHint(count, data[n:]))
+	for i := uint64(0); i < count; i++ {
+		k, m, err := readString(data[n:])
+		if err != nil {
+			return nil, 0, err
+		}
+		n += m
+		st, m, err := readState(data[n:])
+		if err != nil {
+			return nil, 0, err
+		}
+		n += m
+		items = append(items, protocol.ObjectMsg{Key: k, Inner: protocol.DeltaOf(st)})
+	}
+	return protocol.NewStreamMsg(start, end, items), n, nil
 }
 
 func appendCost(b []byte, c metrics.Transmission) []byte {
@@ -130,31 +199,6 @@ func readDot(data []byte) (vclock.Dot, int, error) {
 	return vclock.Dot{Actor: a, Seq: s}, n + m, nil
 }
 
-func appendSeqs(b []byte, seqs []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(seqs)))
-	for _, s := range seqs {
-		b = binary.AppendUvarint(b, s)
-	}
-	return b
-}
-
-func readSeqs(data []byte) ([]uint64, int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	seqs := make([]uint64, 0, capHint(count, data[n:]))
-	for i := uint64(0); i < count; i++ {
-		s, m, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		seqs = append(seqs, s)
-		n += m
-	}
-	return seqs, n, nil
-}
-
 func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	switch v := m.(type) {
 	case *protocol.StateMsg:
@@ -166,17 +210,6 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		b = append(b, tagDeltaMsg)
 		b = appendCost(b, v.Cost())
 		return appendState(b, v.Delta), nil
-
-	case *protocol.AckedDeltaMsg:
-		b = append(b, tagAckedDeltaMsg)
-		b = appendCost(b, v.Cost())
-		b = appendSeqs(b, v.Seqs)
-		return appendState(b, v.Delta), nil
-
-	case *protocol.AckMsg:
-		b = append(b, tagAckMsg)
-		b = appendCost(b, v.Cost())
-		return appendSeqs(b, v.Seqs), nil
 
 	case *protocol.SBDigestMsg:
 		b = append(b, tagSBDigestMsg)
@@ -282,6 +315,28 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		}
 		return b, nil
 
+	case *protocol.StreamMsg:
+		if v.End < v.Start {
+			return nil, fmt.Errorf("codec: stream range (%d, %d] runs backwards", v.Start, v.End)
+		}
+		b = append(b, tagStreamMsg)
+		b = binary.AppendUvarint(b, v.Start)
+		b = binary.AppendUvarint(b, v.End-v.Start)
+		b = binary.AppendUvarint(b, uint64(len(v.Items)))
+		for _, it := range v.Items {
+			dm, ok := it.Inner.(*protocol.DeltaMsg)
+			if !ok {
+				return nil, fmt.Errorf("codec: stream item %q carries %T, want *DeltaMsg", it.Key, it.Inner)
+			}
+			b = appendString(b, it.Key)
+			b = appendState(b, dm.Delta)
+		}
+		return b, nil
+
+	case *protocol.StreamAckMsg:
+		b = append(b, tagStreamAck)
+		return binary.AppendUvarint(b, v.Seq), nil
+
 	default:
 		return nil, fmt.Errorf("codec: no wire format for message %T", m)
 	}
@@ -335,25 +390,6 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			return nil, 0, err
 		}
 		return protocol.NewDeltaMsg(s, cost), n + m, nil
-
-	case tagAckedDeltaMsg:
-		seqs, m, err := readSeqs(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		s, m2, err := readState(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.NewAckedDeltaMsg(s, seqs, cost), n + m2, nil
-
-	case tagAckMsg:
-		seqs, m, err := readSeqs(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.NewAckMsg(seqs, cost), n + m, nil
 
 	case tagSBDigestMsg:
 		vec, m, err := readVClock(data[n:])

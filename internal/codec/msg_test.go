@@ -54,19 +54,6 @@ func TestDeltaMsgRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
-	m := protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{3, 9, 12}, cost())
-	got := msgRoundTrip(t, m).(*protocol.AckedDeltaMsg)
-	if len(got.Seqs) != 3 || got.Seqs[2] != 12 {
-		t.Errorf("seqs = %v", got.Seqs)
-	}
-	a := protocol.NewAckMsg([]uint64{7}, cost())
-	gotAck := msgRoundTrip(t, a).(*protocol.AckMsg)
-	if len(gotAck.Seqs) != 1 || gotAck.Seqs[0] != 7 {
-		t.Errorf("ack seqs = %v", gotAck.Seqs)
-	}
-}
-
 func TestSBDigestRoundTrip(t *testing.T) {
 	vec := vclock.New()
 	vec.Set("n00", 4)
@@ -214,7 +201,7 @@ func TestMergeSharded(t *testing.T) {
 		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("b"), cost())},
 	}
 	itemsB := []protocol.ShardItem{
-		{Shard: 9, Msg: protocol.NewAckMsg([]uint64{4}, cost())},
+		{Shard: 9, Msg: &protocol.StreamAckMsg{Seq: 4}},
 	}
 	ma, mb := protocol.NewShardedMsg(itemsA), protocol.NewShardedMsg(itemsB)
 	ea, _ := codec.EncodeMsg(ma)
@@ -249,7 +236,7 @@ func TestMergeSharded(t *testing.T) {
 	if _, ok := codec.MergeSharded([][]byte{ea, ec}); ok || codec.CanMergeSharded(ec) {
 		t.Error("digest-carrying frame must not merge")
 	}
-	ed, _ := codec.EncodeMsg(protocol.NewAckMsg([]uint64{1}, cost()))
+	ed, _ := codec.EncodeMsg(&protocol.StreamAckMsg{Seq: 1})
 	if _, ok := codec.MergeSharded([][]byte{ea, ed}); ok || codec.CanMergeSharded(ed) {
 		t.Error("non-sharded frame must not merge")
 	}
@@ -411,7 +398,7 @@ func TestDecodeShardIndexOutOfRange(t *testing.T) {
 	// the valid range where it would bypass the receiver's bounds check.
 	msg := []byte{72, 0, 0, 0, 0, 1}               // sharded, zero cost, 1 item
 	msg = binary.AppendUvarint(msg, uint64(1)<<33) // hostile shard index
-	inner, _ := codec.EncodeMsg(protocol.NewAckMsg(nil, cost()))
+	inner, _ := codec.EncodeMsg(&protocol.StreamAckMsg{})
 	msg = append(msg, inner...)
 	if _, _, err := codec.DecodeMsg(msg); err == nil {
 		t.Error("out-of-range shard index should fail decoding")
@@ -472,6 +459,62 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 		data = append(data, hugeCount...)
 		if _, _, err := codec.DecodeMsg(data); err == nil {
 			t.Errorf("tag %d: hostile count should fail", tag)
+		}
+	}
+}
+
+// TestStreamMsgRoundTrip covers the δ-stream item: a range carried once
+// and bare (key, state) pairs, with the accounting derived on decode.
+func TestStreamMsgRoundTrip(t *testing.T) {
+	m := protocol.NewStreamMsg(40, 47, []protocol.ObjectMsg{
+		{Key: "c/a", Inner: protocol.DeltaOf(crdt.NewGSet("x", "y"))},
+		{Key: "c/b", Inner: protocol.DeltaOf(crdt.NewGSet("z"))},
+	})
+	got := msgRoundTrip(t, m).(*protocol.StreamMsg)
+	if got.Start != 40 || got.End != 47 || len(got.Items) != 2 {
+		t.Fatalf("decoded (%d, %d] with %d items", got.Start, got.End, len(got.Items))
+	}
+	for i, it := range got.Items {
+		if it.Key != m.Items[i].Key || !it.Inner.(*protocol.DeltaMsg).Delta.Equal(m.Items[i].Inner.(*protocol.DeltaMsg).Delta) {
+			t.Errorf("item %d = %q, want %q", i, it.Key, m.Items[i].Key)
+		}
+	}
+	// An ack is one tag byte and one uvarint watermark.
+	ack, _ := codec.EncodeMsg(&protocol.StreamAckMsg{Seq: 47})
+	if len(ack) != 2 {
+		t.Errorf("ack of seq 47 encodes to %d bytes, want 2", len(ack))
+	}
+	if got := msgRoundTrip(t, &protocol.StreamAckMsg{Seq: 1 << 40}).(*protocol.StreamAckMsg); got.Seq != 1<<40 {
+		t.Errorf("ack seq = %d", got.Seq)
+	}
+	if _, err := codec.EncodeMsg(protocol.NewStreamMsg(5, 4, nil)); err == nil {
+		t.Error("a backwards range must not encode")
+	}
+	bad := protocol.NewStreamMsg(0, 1, []protocol.ObjectMsg{{Key: "k", Inner: protocol.NewStateMsg(crdt.NewGSet("x"), cost())}})
+	if _, err := codec.EncodeMsg(bad); err == nil {
+		t.Error("a stream item must carry a DeltaMsg")
+	}
+}
+
+// TestDecodeStreamHostileInput: a range whose end overflows, a hostile
+// item count, and truncations fail without panicking or allocating the
+// claimed count.
+func TestDecodeStreamHostileInput(t *testing.T) {
+	max := binary.AppendUvarint(nil, ^uint64(0))
+	for name, data := range map[string][]byte{
+		"overflowing range": append(append([]byte{76}, max...), append([]byte{2}, 0)...),
+		"hostile count":     append([]byte{76, 0, 1}, binary.AppendUvarint(nil, 1<<60)...),
+		"truncated item":    {76, 0, 1, 1, 3, 'a'},
+		"truncated ack":     {77},
+		"truncated range":   {76, 5},
+	} {
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		var v codec.FrameView
+		frame := append([]byte{72, 0, 0, 0, 0, 1, 0}, data...)
+		if err := codec.UnpackFrame(frame, 4, &v); err == nil {
+			t.Errorf("%s: unpacker accepted it inside a frame", name)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
@@ -36,8 +37,13 @@ var ErrNotSharded = errors.New("codec: not a sharded frame")
 // ItemView is one object's message within a sharded frame: the shard it
 // routes to, its key, and the raw encoding of its inner message. Key and
 // Payload alias the frame buffer. Key is nil for a shard item that is not
-// a per-object batch (a bare engine message — conforming stores never send
-// one, and the keyed engines ignore them).
+// a per-object batch: a δ-stream range marker (IsRange), a stream ack, or
+// a bare engine message (conforming stores never send one, and the keyed
+// engines ignore them).
+//
+// A δ-stream item (StreamMsg) flattens into its range marker followed by
+// one view per key, whose Payload is the key's encoded state; the marker
+// carries the range in Start and End.
 type ItemView struct {
 	// Shard is the destination shard index, already bounds-checked
 	// against the receiver's shard count by UnpackFrame.
@@ -46,29 +52,90 @@ type ItemView struct {
 	// item did not come from a per-object batch.
 	Key []byte
 	// Payload is the inner message's full encoding (tag byte included),
-	// aliasing the frame buffer.
+	// aliasing the frame buffer — for a key of a stream item, its encoded
+	// state.
 	Payload []byte
+	// Start and End are a range marker's (Start, End] seq range.
+	Start, End uint64
 
-	msg protocol.Msg // decoded on first Msg call
+	kind viewKind
+	msg  protocol.Msg // decoded on first Msg call
 }
+
+// viewKind says how an ItemView's payload decodes.
+type viewKind uint8
+
+const (
+	viewMsg   viewKind = iota // an encoded protocol message
+	viewState                 // a stream item key's encoded state
+	viewRange                 // a stream item's range marker
+)
 
 // Tag returns the payload's wire tag — enough to classify an item (ack,
 // anti-entropy digest, delta) without decoding it.
 func (iv *ItemView) Tag() byte { return iv.Payload[0] }
 
+// IsRange reports whether the view is a δ-stream range marker.
+func (iv *ItemView) IsRange() bool { return iv.kind == viewRange }
+
+// Ack returns the watermark of a δ-stream ack view without decoding a
+// message; ok is false for any other view.
+func (iv *ItemView) Ack() (seq uint64, ok bool) {
+	if iv.kind != viewMsg || iv.Payload[0] != tagStreamAck {
+		return 0, false
+	}
+	seq, _ = binary.Uvarint(iv.Payload[1:]) // validated by the unpack walk
+	return seq, true
+}
+
+// State decodes the state a δ-carrying view delivers: a stream key's
+// state, or the δ of a DeltaMsg payload (a repair ship). It is nil for
+// any other message. Unlike Msg, it builds no message around the state.
+func (iv *ItemView) State() (lattice.State, error) {
+	if iv.kind != viewState {
+		m, err := iv.Msg()
+		if dm, ok := m.(*protocol.DeltaMsg); ok {
+			return dm.Delta, nil
+		}
+		return nil, err
+	}
+	st, n, err := readState(iv.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(iv.Payload) {
+		return nil, fmt.Errorf("codec: item decode consumed %d of %d bytes", n, len(iv.Payload))
+	}
+	return st, nil
+}
+
 // IsAckTag reports whether tag names a pure acknowledgement or protocol
 // digest — messages that carry no object state, so watcher notification
 // and similar state-change consumers skip them by tag alone.
 func IsAckTag(tag byte) bool {
-	return tag == tagAckMsg || tag == tagSBDigestMsg
+	return tag == tagStreamAck || tag == tagSBDigestMsg
 }
 
 // Msg decodes the payload into a protocol message, once; repeated calls
-// return the cached result. The decoded message owns its memory (the
-// decoders copy out of the input), so it stays valid after the frame
-// buffer is reused — only the view itself is frame-scoped.
+// return the cached result: a DeltaMsg for a stream key's state, a
+// StreamMsg without items for a range marker. The decoded message owns
+// its memory (the decoders copy out of the input), so it stays valid
+// after the frame buffer is reused — only the view itself is
+// frame-scoped.
 func (iv *ItemView) Msg() (protocol.Msg, error) {
 	if iv.msg != nil {
+		return iv.msg, nil
+	}
+	switch iv.kind {
+	case viewRange:
+		iv.msg = protocol.NewStreamMsg(iv.Start, iv.End, nil)
+		return iv.msg, nil
+	case viewState:
+		st, err := iv.State()
+		if err != nil {
+			return nil, err
+		}
+		iv.msg = protocol.DeltaOf(st)
 		return iv.msg, nil
 	}
 	m, n, err := DecodeMsg(iv.Payload)
@@ -233,6 +300,9 @@ func (v *FrameView) appendItem(data []byte, at int, shard uint32, keep bool) (in
 	if len(d) == 0 {
 		return 0, ErrTruncated
 	}
+	if d[0] == tagStreamMsg {
+		return v.appendStream(d, shard, keep)
+	}
 	if d[0] != tagBatchMsg {
 		n, err := skipMsg(d, 1)
 		if err != nil {
@@ -274,6 +344,39 @@ func (v *FrameView) appendItem(data []byte, at int, shard uint32, keep bool) (in
 			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: d[n : n+inner]})
 		}
 		n += inner
+	}
+	return n, nil
+}
+
+// appendStream walks one δ-stream item: its range marker, then one view
+// per (key, state) pair.
+func (v *FrameView) appendStream(d []byte, shard uint32, keep bool) (int, error) {
+	start, end, count, n, err := readStreamHeader(d[1:])
+	if err != nil {
+		return 0, err
+	}
+	n++
+	if keep {
+		v.items = append(v.items, ItemView{Shard: shard, Payload: d[:n], Start: start, End: end, kind: viewRange})
+	}
+	for i := uint64(0); i < count; i++ {
+		klen, m, err := readUvarint(d[n:])
+		if err != nil {
+			return 0, err
+		}
+		if klen > uint64(len(d)-n-m) {
+			return 0, ErrTruncated
+		}
+		key := d[n+m : n+m+int(klen)]
+		n += m + int(klen)
+		sl, err := skipState(d[n:], 0)
+		if err != nil {
+			return 0, err
+		}
+		if keep {
+			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: d[n : n+sl], kind: viewState})
+		}
+		n += sl
 	}
 	return n, nil
 }
@@ -402,21 +505,6 @@ func skipDot(data []byte) (int, error) {
 		return 0, err
 	}
 	return n + m, nil
-}
-
-func skipSeqs(data []byte) (int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	for i := uint64(0); i < count; i++ {
-		m, err := skipUvarint(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-	}
-	return n, nil
 }
 
 // skipState computes one encoded state's extent, mirroring readStateDepth.
@@ -555,6 +643,33 @@ func skipMsg(data []byte, depth int) (int, error) {
 		return 0, ErrTruncated
 	}
 	tag := data[0]
+	switch tag {
+	case tagStreamAck:
+		n, err := skipUvarint(data[1:])
+		if err != nil {
+			return 0, err
+		}
+		return n + 1, nil
+	case tagStreamMsg:
+		_, _, count, n, err := readStreamHeader(data[1:])
+		if err != nil {
+			return 0, err
+		}
+		n++
+		for i := uint64(0); i < count; i++ {
+			m, err := skipString(data[n:])
+			if err != nil {
+				return 0, err
+			}
+			n += m
+			m, err = skipState(data[n:], 0)
+			if err != nil {
+				return 0, err
+			}
+			n += m
+		}
+		return n, nil
+	}
 	n, err := skipCost(data[1:])
 	if err != nil {
 		return 0, err
@@ -564,25 +679,6 @@ func skipMsg(data []byte, depth int) (int, error) {
 	switch tag {
 	case tagStateMsg, tagDeltaMsg:
 		m, err := skipState(body[n:], 0)
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
-
-	case tagAckedDeltaMsg:
-		m, err := skipSeqs(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		m, err = skipState(body[n:], 0)
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
-
-	case tagAckMsg:
-		m, err := skipSeqs(body[n:])
 		if err != nil {
 			return 0, err
 		}

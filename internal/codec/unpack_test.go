@@ -30,6 +30,22 @@ func flattenEager(t testing.TB, sm *protocol.ShardedMsg, shards int) (kept []fla
 			dropped++
 			continue
 		}
+		if sm, ok := it.Msg.(*protocol.StreamMsg); ok {
+			// A stream item flattens into its range marker, then its keys.
+			enc, err := codec.EncodeMsg(protocol.NewStreamMsg(sm.Start, sm.End, nil))
+			if err != nil {
+				t.Fatalf("encode marker: %v", err)
+			}
+			kept = append(kept, flatItem{shard: it.Shard, enc: string(enc)})
+			for _, om := range sm.Items {
+				enc, err := codec.EncodeMsg(om.Inner)
+				if err != nil {
+					t.Fatalf("encode inner: %v", err)
+				}
+				kept = append(kept, flatItem{shard: it.Shard, key: om.Key, enc: string(enc)})
+			}
+			continue
+		}
 		if bm, ok := it.Msg.(*protocol.BatchMsg); ok {
 			for _, om := range bm.Items {
 				enc, err := codec.EncodeMsg(om.Inner)
@@ -164,11 +180,10 @@ func unpackBatch(shard uint32, keys ...string) protocol.ShardItem {
 // whose items already arrive in shard order, plus view reuse across
 // frames of both sharded variants.
 func TestUnpackFrameGrouped(t *testing.T) {
-	cost := metrics.Transmission{Messages: 1}
 	var v codec.FrameView
 	first := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		unpackBatch(0, "a", "b"),
-		{Shard: 1, Msg: protocol.NewAckMsg([]uint64{4, 5}, cost)},
+		{Shard: 1, Msg: &protocol.StreamAckMsg{Seq: 5}},
 		unpackBatch(1, "c"),
 		unpackBatch(3, "d", "e", "f"),
 	}))
@@ -262,10 +277,9 @@ func TestUnpackFrameHostile(t *testing.T) {
 
 // TestItemViewTags: wire-tag classification without decoding.
 func TestItemViewTags(t *testing.T) {
-	cost := metrics.Transmission{Messages: 1}
 	var v codec.FrameView
 	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 0, Msg: protocol.NewAckMsg([]uint64{1}, cost)},
+		{Shard: 0, Msg: &protocol.StreamAckMsg{Seq: 1}},
 		unpackBatch(1, "k"),
 	}))
 	if err := codec.UnpackFrame(data, 4, &v); err != nil {
@@ -299,11 +313,11 @@ func FuzzUnpackFrame(f *testing.F) {
 	}
 	batch := protocol.NewBatchMsg([]protocol.ObjectMsg{
 		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost)},
-		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3}, cost)},
+		{Key: "obj:2", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"), cost)},
 	}, cost)
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9}, cost)}, // beyond the fuzz shard count: dropped
+		{Shard: 7, Msg: &protocol.StreamAckMsg{Seq: 9}}, // beyond the fuzz shard count: dropped
 	}))
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"), cost)},
@@ -325,6 +339,19 @@ func FuzzUnpackFrame(f *testing.F) {
 	f.Add([]byte{74, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
 	f.Add([]byte{72, 0, 0, 0, 0, 1, 3, 70, 0, 0, 0, 0, 1, 1, 97, 64, 0, 0, 0, 0, 1})
 	f.Add([]byte{72, 0, 0, 0, 0, 1, 2, 75, 0, 0, 0, 0, 0, 3, 0, 1, 2, 1, 2, 3}) // embedded tree, truncated pair
+	// δ-stream ranges and acks, in and out of shard order, one routed
+	// beyond the fuzz shard count.
+	seed(protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 2, Msg: protocol.NewStreamMsg(5, 8, []protocol.ObjectMsg{
+			{Key: "obj:1", Inner: protocol.DeltaOf(crdt.NewGSet("a"))},
+			{Key: "obj:2", Inner: protocol.DeltaOf(crdt.NewGSet("b", "c"))},
+		})},
+		{Shard: 0, Msg: &protocol.StreamAckMsg{Seq: 77}},
+		{Shard: 2, Msg: protocol.NewStreamMsg(8, 8, nil)},
+		{Shard: 9, Msg: &protocol.StreamAckMsg{Seq: 1}},
+	}))
+	f.Add([]byte{72, 0, 0, 0, 0, 1, 0, 76, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 1, 0}) // overflowing range
+	f.Add([]byte{72, 0, 0, 0, 0, 1, 0, 76, 0, 1, 255, 255, 255, 255, 15})                         // hostile item count
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -435,5 +462,44 @@ func BenchmarkUnpack(b *testing.B) {
 			}
 			b.ReportMetric(float64(items), "items/op")
 		})
+	}
+}
+
+// TestUnpackStreamItems: a δ-stream item flattens into its range marker
+// and one state view per key, and a stream ack is classified — and its
+// watermark read — without decoding a message.
+func TestUnpackStreamItems(t *testing.T) {
+	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 1, Msg: protocol.NewStreamMsg(3, 9, []protocol.ObjectMsg{
+			{Key: "a", Inner: protocol.DeltaOf(crdt.NewGSet("x"))},
+			{Key: "b", Inner: protocol.DeltaOf(crdt.NewGSet("y", "z"))},
+		})},
+		{Shard: 2, Msg: &protocol.StreamAckMsg{Seq: 300}},
+	}))
+	var v codec.FrameView
+	checkUnpacked(t, data, 4, &v)
+	g := v.Groups()
+	if len(g) != 2 || len(g[0].Items) != 3 || len(g[1].Items) != 1 {
+		t.Fatalf("groups = %+v", g)
+	}
+	marker := &g[0].Items[0]
+	if !marker.IsRange() || marker.Start != 3 || marker.End != 9 || marker.Key != nil {
+		t.Fatalf("marker = %+v", marker)
+	}
+	for i, key := range []string{"a", "b"} {
+		iv := &g[0].Items[i+1]
+		if iv.IsRange() || string(iv.Key) != key || codec.IsAckTag(iv.Tag()) {
+			t.Fatalf("item %d = %+v", i+1, iv)
+		}
+		if _, ok := iv.Ack(); ok {
+			t.Fatalf("state view %q read as an ack", key)
+		}
+	}
+	ack := &g[1].Items[0]
+	if !codec.IsAckTag(ack.Tag()) {
+		t.Fatal("stream ack not classified by tag")
+	}
+	if seq, ok := ack.Ack(); !ok || seq != 300 {
+		t.Fatalf("Ack() = %d, %v; want 300, true", seq, ok)
 	}
 }

@@ -20,16 +20,6 @@ func NewDeltaMsg(d lattice.State, cost metrics.Transmission) *DeltaMsg {
 	return &DeltaMsg{Delta: d, cost: cost}
 }
 
-// NewAckedDeltaMsg builds an AckedDeltaMsg with explicit accounting.
-func NewAckedDeltaMsg(d lattice.State, seqs []uint64, cost metrics.Transmission) *AckedDeltaMsg {
-	return &AckedDeltaMsg{Delta: d, Seqs: seqs, cost: cost}
-}
-
-// NewAckMsg builds an AckMsg with explicit accounting.
-func NewAckMsg(seqs []uint64, cost metrics.Transmission) *AckMsg {
-	return &AckMsg{Seqs: seqs, cost: cost}
-}
-
 // NewSBDigestMsg builds an SBDigestMsg with explicit accounting.
 func NewSBDigestMsg(vec *vclock.VClock, matrix map[string]*vclock.VClock, cost metrics.Transmission) *SBDigestMsg {
 	return &SBDigestMsg{Vec: vec, Matrix: matrix, cost: cost}

@@ -108,8 +108,9 @@ func WaitConverged(stores []*Store, wantKeys int, timeout time.Duration, progres
 		if time.Now().After(deadline) {
 			// A sick write pipeline is the usual culprit, so the failure
 			// names each store's queued/dropped frame totals alongside
-			// its digest, and how many repairs it held while its own δs
-			// were in flight; a non-zero shard-count mismatch counter
+			// its digest, how many repairs it held while δs were in
+			// flight, and how many drill-downs found nothing to repair;
+			// a non-zero shard-count mismatch counter
 			// means the cluster is misconfigured and anti-entropy can
 			// never repair it.
 			msg := "transport: cluster did not converge:"
@@ -120,8 +121,8 @@ func WaitConverged(stores []*Store, wantKeys int, timeout time.Duration, progres
 					queued += ps.Queued
 					dropped += ps.Dropped
 				}
-				msg += fmt.Sprintf(" %s[keys=%d digest=%x queued=%d dropped=%d held=%d]",
-					st.ID(), st.NumKeys(), st.Digest(), queued, dropped, stats.HeldRepairs)
+				msg += fmt.Sprintf(" %s[keys=%d digest=%x queued=%d dropped=%d held=%d emptydrills=%d]",
+					st.ID(), st.NumKeys(), st.Digest(), queued, dropped, stats.HeldRepairs, stats.EmptyDrills)
 				if stats.DigestShardMismatch > 0 {
 					msg += fmt.Sprintf(" %s saw %d digest advertisements with a foreign shard count (misconfigured Shards?)",
 						st.ID(), stats.DigestShardMismatch)

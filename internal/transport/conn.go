@@ -31,6 +31,10 @@ const (
 	reconnectBase         = 10 * time.Millisecond
 	reconnectMax          = 2 * time.Second
 	drainTimeout          = time.Second
+	// inboundPerPeer is how many accepted connections each configured
+	// peer may hold open at once, and, times the number of peers, how
+	// many the guests share (see peerNet.accepted).
+	inboundPerPeer = 4
 )
 
 // queueConfig bounds one peer's outbound queue. Frames vary ~100x in
@@ -76,13 +80,21 @@ type PeerStats struct {
 	EnqueuedBytes int
 	// Dropped counts frames lost on the way to this peer: evicted by the
 	// drop-oldest overflow policy while the queue exceeded its frame or
-	// byte budget, or abandoned after a failed connection attempt or
-	// write error. DroppedBytes is the same ledger in bytes. Acked
-	// engines retransmit the lost deltas and digest anti-entropy repairs
-	// the rest; under the plain delta engine with digests disabled these
-	// frames are gone for good.
+	// byte budget, abandoned after a failed connection attempt or write
+	// error, or still queued when the store closed. DroppedBytes is the
+	// same ledger in bytes. Acked engines retransmit the lost deltas and
+	// digest anti-entropy repairs the rest; under the plain delta engine
+	// with digests disabled these frames are gone for good.
 	Dropped      int
 	DroppedBytes int
+	// DroppedOverflow, DroppedDial, DroppedWrite and DroppedClosing split
+	// Dropped by reason and always sum to it: evicted by the overflow
+	// policy, lost to a failed connection attempt, lost to a failed
+	// write, and abandoned (or offered) while the pipeline shut down.
+	DroppedOverflow int
+	DroppedDial     int
+	DroppedWrite    int
+	DroppedClosing  int
 	// Coalesced counts queued frames merged into an earlier frame to the
 	// same peer on drain, incremented only once the merged write lands:
 	// their bytes reached the wire minus the saved per-frame headers —
@@ -130,6 +142,35 @@ type peerConn struct {
 	// other toward a peer that may be perfectly healthy.
 	attempted bool
 	stats     PeerStats
+	// revived marks a reconnect after a failure since the store last
+	// asked (takeRevived).
+	revived bool
+}
+
+// dropReason names why a frame was lost, for the PeerStats split.
+type dropReason int
+
+const (
+	dropOverflow dropReason = iota
+	dropDial
+	dropWrite
+	dropClosing
+)
+
+// dropLocked counts frames lost for one reason. Caller holds pc.mu.
+func (pc *peerConn) dropLocked(why dropReason, frames, bytes int) {
+	pc.stats.Dropped += frames
+	pc.stats.DroppedBytes += bytes
+	switch why {
+	case dropOverflow:
+		pc.stats.DroppedOverflow += frames
+	case dropDial:
+		pc.stats.DroppedDial += frames
+	case dropWrite:
+		pc.stats.DroppedWrite += frames
+	case dropClosing:
+		pc.stats.DroppedClosing += frames
+	}
 }
 
 // enqueue appends one frame, evicting oldest queued frames while either
@@ -141,11 +182,12 @@ type peerConn struct {
 func (pc *peerConn) enqueue(data []byte) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.closed {
-		return
-	}
 	pc.stats.Enqueued++
 	pc.stats.EnqueuedBytes += len(data)
+	if pc.closed {
+		pc.dropLocked(dropClosing, 1, len(data))
+		return
+	}
 	pc.queue = append(pc.queue, data)
 	pc.qbytes += len(data)
 	pc.evictLocked()
@@ -160,8 +202,7 @@ func (pc *peerConn) evictLocked() {
 		pc.queue[0] = nil
 		pc.queue = pc.queue[1:]
 		pc.qbytes -= len(old)
-		pc.stats.Dropped++
-		pc.stats.DroppedBytes += len(old)
+		pc.dropLocked(dropOverflow, 1, len(old))
 	}
 }
 
@@ -210,7 +251,13 @@ func (pc *peerConn) next() ([]byte, bool) {
 	for len(pc.queue) == 0 && !pc.closed {
 		pc.cond.Wait()
 	}
-	if len(pc.queue) == 0 || pc.hardStopped() {
+	if pc.hardStopped() {
+		// Shutdown abandons what is still queued.
+		pc.dropLocked(dropClosing, len(pc.queue), pc.qbytes)
+		clear(pc.queue)
+		pc.queue, pc.qbytes = pc.queue[:0], 0
+	}
+	if len(pc.queue) == 0 {
 		return nil, false
 	}
 	f := pc.queue[0]
@@ -280,12 +327,12 @@ func (pc *peerConn) hardStopped() bool {
 func (pc *peerConn) write(frame []byte, frames, bytes int) bool {
 	conn := pc.ensureConn()
 	if conn == nil {
-		pc.dropFrames(frames, bytes)
+		pc.dropFrames(dropDial, frames, bytes)
 		return false
 	}
 	if err := writeFrame(conn, pc.p.id, frame); err != nil {
 		pc.disconnect(conn)
-		pc.dropFrames(frames, bytes)
+		pc.dropFrames(dropWrite, frames, bytes)
 		pc.sleepBackoff()
 		return false
 	}
@@ -305,6 +352,7 @@ func (pc *peerConn) markHealthy() {
 	if pc.hadFailure {
 		pc.stats.Reconnects++
 		pc.hadFailure = false
+		pc.revived = true
 	}
 }
 
@@ -345,14 +393,13 @@ func (pc *peerConn) disconnect(conn net.Conn) {
 	}
 }
 
-// dropFrames records a failed attempt's frames as dropped. A failed
+// dropFrames records a failed attempt's frames as dropped for why. A failed
 // first attempt also ends the start-up grace: the backlog it let build
 // is trimmed to the frame bound in the same lock hold, so a dead peer
 // never holds more than the bounded queue.
-func (pc *peerConn) dropFrames(frames, bytes int) {
+func (pc *peerConn) dropFrames(why dropReason, frames, bytes int) {
 	pc.mu.Lock()
-	pc.stats.Dropped += frames
-	pc.stats.DroppedBytes += bytes
+	pc.dropLocked(why, frames, bytes)
 	pc.attempted = true
 	pc.evictLocked()
 	pc.mu.Unlock()
@@ -399,18 +446,28 @@ func (pc *peerConn) snapshot() PeerStats {
 // accept/read loops that hand frames to the store. The store supplies a
 // deliver callback and keeps its own synchronization loop.
 type peerNet struct {
-	id       string
-	dial     DialFunc
-	ln       net.Listener
-	peers    map[string]*peerConn // fixed at construction, read-only after
-	mu       sync.Mutex           // guards accepted
-	accepted map[net.Conn]struct{}
-	stopping chan struct{}
-	hardStop chan struct{}
-	stopOnce sync.Once
-	hardOnce sync.Once
-	wg       sync.WaitGroup // accept + read loops
-	writers  sync.WaitGroup // peerConn writer goroutines
+	id    string
+	dial  DialFunc
+	ln    net.Listener
+	peers map[string]*peerConn // fixed at construction, read-only after
+	mu    sync.Mutex           // guards accepted, lastConn and rejected
+	// accepted holds every open inbound connection. A connection is a
+	// guest until its first frame names a configured peer: the guests
+	// share maxGuests places, and each configured peer has
+	// inboundPerPeer of its own. Over either cap, the oldest connection
+	// is closed and counted in rejected — the newest is the live one: a
+	// reconnecting peer's, or a configured peer's arriving while idle
+	// connections flood the guest places.
+	accepted  map[net.Conn]*inbound
+	lastConn  uint64
+	maxGuests int
+	rejected  int
+	stopping  chan struct{}
+	hardStop  chan struct{}
+	stopOnce  sync.Once
+	hardOnce  sync.Once
+	wg        sync.WaitGroup // accept + read loops
+	writers   sync.WaitGroup // peerConn writer goroutines
 }
 
 func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFunc, qcfg queueConfig) *peerNet {
@@ -423,9 +480,13 @@ func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFu
 		dial:     dial,
 		ln:       ln,
 		peers:    make(map[string]*peerConn, len(peers)),
-		accepted: make(map[net.Conn]struct{}),
-		stopping: make(chan struct{}),
-		hardStop: make(chan struct{}),
+		accepted: make(map[net.Conn]*inbound),
+		// Every peer's connection is a guest until its first frame
+		// arrives; a few ids outside the configured peers (tools, tests)
+		// stay guests. Anything beyond is a connection flood.
+		maxGuests: inboundPerPeer * max(len(peers), 1),
+		stopping:  make(chan struct{}),
+		hardStop:  make(chan struct{}),
 	}
 	for pid, addr := range peers {
 		pc := &peerConn{id: pid, addr: addr, p: p, qcfg: qcfg, state: PeerConnecting}
@@ -477,6 +538,27 @@ func (p *peerNet) transmit(to string, data []byte) error {
 	return nil
 }
 
+// takeRevived reports, and clears, whether the peer's connection came
+// back after a failure since the last call.
+func (p *peerNet) takeRevived(to string) bool {
+	pc := p.peers[to]
+	if pc == nil {
+		return false
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	revived := pc.revived
+	pc.revived = false
+	return revived
+}
+
+// rejectedConns returns how many inbound connections the cap closed.
+func (p *peerNet) rejectedConns() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rejected
+}
+
 // peerStats snapshots every peer pipeline's counters and state.
 func (p *peerNet) peerStats() map[string]PeerStats {
 	out := make(map[string]PeerStats, len(p.peers))
@@ -499,7 +581,9 @@ func (p *peerNet) acceptLoop(deliver func(from string, frame []byte) error) {
 			}
 		}
 		p.mu.Lock()
-		p.accepted[conn] = struct{}{}
+		p.lastConn++
+		p.accepted[conn] = &inbound{seq: p.lastConn}
+		p.trimLocked("", p.maxGuests)
 		p.mu.Unlock()
 		p.wg.Add(1)
 		go p.readLoop(conn, deliver)
@@ -528,6 +612,7 @@ func (p *peerNet) readLoop(conn net.Conn, deliver func(from string, frame []byte
 		}
 		if first {
 			sender = string(from)
+			p.bind(conn, sender)
 		} else if string(from) != sender {
 			return
 		}
@@ -540,6 +625,51 @@ func (p *peerNet) readLoop(conn net.Conn, deliver func(from string, frame []byte
 			// 64 MiB frame cap) for the connection's lifetime.
 			buf = nil
 		}
+	}
+}
+
+// inbound is one accepted connection's place under the caps: its accept
+// order, and the configured peer its first frame named ("" for a guest).
+type inbound struct {
+	seq    uint64
+	peer   string
+	closed bool
+}
+
+// bind moves a connection whose first frame names a configured peer out
+// of the guest places into that peer's own.
+func (p *peerNet) bind(conn net.Conn, id string) {
+	if _, ok := p.peers[id]; !ok {
+		return
+	}
+	p.mu.Lock()
+	if in := p.accepted[conn]; in != nil && !in.closed {
+		in.peer = id
+		p.trimLocked(id, inboundPerPeer)
+	}
+	p.mu.Unlock()
+}
+
+// trimLocked closes the oldest of peer's open connections ("" for the
+// guests) while they number more than limit. Caller holds p.mu.
+func (p *peerNet) trimLocked(peer string, limit int) {
+	for {
+		var oldest net.Conn
+		n := 0
+		for c, in := range p.accepted {
+			if in.closed || in.peer != peer {
+				continue
+			}
+			if n++; oldest == nil || in.seq < p.accepted[oldest].seq {
+				oldest = c
+			}
+		}
+		if n <= limit {
+			return
+		}
+		p.accepted[oldest].closed = true
+		p.rejected++
+		oldest.Close()
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -250,12 +249,9 @@ func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 	k0 := keysOnShard(s.mask, 0, 1)[0]
 	k1 := keysOnShard(s.mask, 1, 1)[0]
 	gs := crdt.NewGSet("a", "b")
-	acked := protocol.NewAckedDeltaMsg(gs, []uint64{1}, metrics.Transmission{
-		Messages: 1, Elements: gs.Elements(), PayloadBytes: gs.SizeBytes(),
-	})
 	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
-		// Shard 0 applies and owes the sender an AckMsg reply.
-		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k0, Inner: acked}})},
+		// Shard 0 applies a δ-stream range and owes the sender its ack.
+		{Shard: 0, Msg: protocol.NewStreamMsg(0, 1, []protocol.ObjectMsg{{Key: k0, Inner: protocol.DeltaOf(gs)}})},
 		shardBatch(1, k1),
 		shardBatch(9, "skew"), // beyond the shard count: dropped at unpack
 	}))

@@ -343,9 +343,15 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 	for i, sh := range s.shards {
 		if sh.contentDigest() == digests[i] {
 			s.repair.clear(i)
+			if sh.broken.Load() {
+				sh.mu.Lock()
+				sh.st.Mend(from)
+				sh.broken.Store(sh.st.Broken())
+				sh.mu.Unlock()
+			}
 			continue
 		}
-		if sh.pending.Load() && s.repair.hold(i, now) {
+		if s.holdRepair(sh, i, from, now) {
 			held++
 			continue
 		}
@@ -374,6 +380,32 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 		m := protocol.NewDigestMsg(nil, flat, protocol.DigestCost(nil, flat))
 		s.transmitMsg(from, m, frameDigest)
 	}
+}
+
+// holdRepair reports whether a digest mismatch between this store and
+// peer on shard i is no evidence of divergence yet, because δs are still
+// in flight between the two. Under EngineDelta that is a shard whose own
+// δs may be on the wire, held for at most RepairTimeout. A broken
+// δ-stream may have lost data only repair restores, so it gets the same
+// bounded hold, whatever else is in flight. An intact one holds while
+// the shard has changes no range has carried, or while its stream to
+// the peer is owed acks: retransmission delivers those, so the hold
+// needs no time bound — the peer's vector reflects everything its own
+// stream to this store carried before it.
+func (s *Store) holdRepair(sh *shard, i int, peer string, now time.Time) bool {
+	if sh.st == nil {
+		return sh.pending.Load() && s.repair.hold(i, now)
+	}
+	sh.mu.Lock()
+	status := sh.st.Status(peer)
+	sh.mu.Unlock()
+	switch {
+	case status == protocol.StreamBroken:
+		return s.repair.hold(i, now)
+	case status == protocol.StreamUnsettled:
+		return true
+	}
+	return sh.dirty.Load()
 }
 
 // treeLevelOneQuery is the first drill-down step, the same for every
@@ -508,6 +540,9 @@ func (s *Store) continueDrill(from string, shardIdx uint32, level int, nodes []u
 		// keys this store lacks entirely (its advertisement to the peer
 		// repairs that direction). Let the next heartbeat re-evaluate.
 		s.repair.clear(int(shardIdx))
+		s.statsMu.Lock()
+		s.stats.EmptyDrills++
+		s.statsMu.Unlock()
 		return
 	}
 	if level == protocol.TreeDepth {

@@ -68,8 +68,9 @@ func newPoolStore(t testing.TB, workers, shards int, snapDir string) *Store {
 // to every destination must be the same at pool widths 1 and 4 — and
 // equal to what the packer produces encoding the same items itself,
 // the reference independent of the workers' encoding. Round 2 is a
-// pure-retransmission round where the acked engines re-emit without new
-// updates.
+// pure-retransmission round: no new updates, and the stores' clocks
+// moved past every retransmission timeout, so the acked streams re-send
+// everything unacked.
 func TestParallelTickFramesByteIdentical(t *testing.T) {
 	narrow := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
 	wide := newTickStore(t, 4, protocol.NewDeltaAcked(true, true))
@@ -86,15 +87,19 @@ func TestParallelTickFramesByteIdentical(t *testing.T) {
 		return frames
 	}
 	for round := 0; round < 3; round++ {
-		if round < 2 { // round 2 ticks with retransmissions only
+		if round < 2 {
 			for k := 0; k < 300; k++ {
 				op := workload.Add(fmt.Sprintf("key-%04d", k), fmt.Sprintf("e%d", round))
 				narrow.Update(op)
 				wide.Update(op)
 			}
+		} else { // round 2 ticks with retransmissions only
+			later := time.Now().Add(3 * time.Hour)
+			narrow.clock = func() time.Time { return later }
+			wide.clock = narrow.clock
 		}
 		b1, b4 := newOutBatch(), newOutBatch()
-		ts1, ts4 := narrow.collectTick(b1), wide.collectTick(b4)
+		ts1, ts4 := narrow.collectTick(b1, nil), wide.collectTick(b4, nil)
 		if ts1 == nil || ts4 == nil || len(b1.order) == 0 {
 			t.Fatalf("round %d produced no emissions", round)
 		}
@@ -116,12 +121,8 @@ func TestParallelTickFramesByteIdentical(t *testing.T) {
 		narrow.releaseTickScratch(ts1)
 		wide.releaseTickScratch(ts4)
 	}
-	v1, v4 := narrow.shardDigests(), wide.shardDigests()
-	equal := slices.Equal(v1, v4)
-	narrow.putDigestVec(v1)
-	wide.putDigestVec(v4)
-	if !equal {
-		t.Fatal("digest vectors differ between widths 1 and 4")
+	if narrow.Digest() != wide.Digest() {
+		t.Fatal("digests differ between widths 1 and 4")
 	}
 }
 
@@ -213,18 +214,24 @@ func TestRunShardStageCoversAllShards(t *testing.T) {
 	}
 }
 
-// TestCleanDigestPathNoAllocs pins the idle-store digest tick at zero
-// allocations: with every shard's cached digest valid, shardDigests is
-// a lock-free fill of a free-listed vector.
+// TestCleanDigestPathNoAllocs pins the idle per-object store's digest
+// tick at zero allocations: with no shard to visit and every cached
+// digest valid, collectTick is a lock-free fill of a free-listed vector.
 func TestCleanDigestPathNoAllocs(t *testing.T) {
 	s := newPoolStore(t, 4, 64, "")
 	for k := 0; k < 512; k++ {
 		s.Update(workload.Add(fmt.Sprintf("key-%04d", k), "e"))
 	}
-	s.putDigestVec(s.shardDigests()) // compute caches, seed the free list
-	allocs := testing.AllocsPerRun(100, func() {
-		s.putDigestVec(s.shardDigests())
-	})
+	b := newOutBatch()
+	tick := func() {
+		vec := s.getDigestVec()
+		if ts := s.collectTick(b, vec); ts != nil {
+			s.releaseTickScratch(ts)
+		}
+		s.putDigestVec(vec)
+	}
+	tick() // visit the written shards, compute caches, seed the free list
+	allocs := testing.AllocsPerRun(100, tick)
 	if allocs != 0 {
 		t.Fatalf("clean-store digest path allocates %.1f per run, want 0", allocs)
 	}

@@ -67,10 +67,9 @@ type StoreConfig struct {
 	// or a Merkle drill-down). This repairs divergence the inner engines
 	// cannot see (lost frames under clear-after-send engines, healed
 	// partitions) at a near-constant per-tick cost of 8 bytes per shard
-	// once converged. A mismatch on a shard whose own δs are still in
-	// flight — written locally, or emitted on its last sync visit — is
-	// expected and says nothing about divergence, so its repair is held
-	// for up to RepairTimeout (see there). 0 disables digests (delta
+	// once converged. A mismatch while δs are still in flight between
+	// the two replicas is expected and says nothing about divergence, so
+	// its repair is held (see RepairTimeout). 0 disables digests (delta
 	// traffic only).
 	DigestEvery int
 	// MaxFrameBytes caps the encoded size of one data frame; a sync tick
@@ -86,11 +85,14 @@ type StoreConfig struct {
 	// when repair messages are lost; after two consecutive drill-downs
 	// time out on a shard, repair falls back to the flat full pull, whose
 	// two-message exchange survives lossy links the multi-round drill
-	// cannot. It also bounds the hold on a shard whose own δs are still
-	// in flight: mismatches on such a shard start no repair until one has
-	// been held for RepairTimeout, so a shard that never goes quiet is
-	// still repaired about every RepairTimeout plus one advertisement
-	// interval (counted in Stats().HeldRepairs).
+	// cannot. It also bounds some repair holds (counted in
+	// Stats().HeldRepairs): under the acked engine, the hold on a broken
+	// δ-stream — a lost or rewound range, or a cut-over — however busy
+	// the shard is, while a hold on an intact stream lasts exactly until
+	// its δs are acked;
+	// under a per-object engine, the hold on a shard whose own δs are
+	// still in flight, so a shard that never goes quiet is still
+	// repaired about every RepairTimeout plus one advertisement interval.
 	RepairTimeout time.Duration
 	// TreeRepairMinKeys is the local key count from which a diverged
 	// shard repairs by Merkle drill-down instead of a full-shard pull
@@ -125,6 +127,10 @@ type StoreStats struct {
 	// advertisement heartbeats that found no data frame to ride and
 	// shard-request replies; the rest carry data.
 	DigestFrames int
+	// AckFrames counts the compact δ-stream ack frames within Frames:
+	// one cumulative watermark per touched shard, sent as soon as a data
+	// frame is applied.
+	AckFrames int
 	// PiggybackedDigests counts data frames that additionally carried the
 	// per-shard digest vector: advertisements that would each have been a
 	// standalone DigestFrame without piggybacking.
@@ -152,13 +158,21 @@ type StoreStats struct {
 	// Want storms the repair table absorbed.
 	DedupedWants int
 	// HeldRepairs counts digest mismatches that did not issue a repair
-	// request because the local shard still had its own δs in flight, so
-	// the peer's digest could not yet reflect them (see RepairTimeout).
+	// request because δs were still in flight between the two replicas,
+	// so the peer's digest could not yet reflect them: under EngineAcked,
+	// a shard with unsent changes or an unsettled or broken δ-stream to
+	// that peer; under EngineDelta, a shard with its own δs pending (see
+	// RepairTimeout).
 	HeldRepairs int
 	// TreeRounds counts Merkle drill-down rounds this store initiated
 	// (level queries and leaf Wants). A single-key repair costs
 	// TreeDepth query rounds plus one Want.
 	TreeRounds int
+	// EmptyDrills counts drill-downs that ended without finding a
+	// differing range: the root digests differed, but no queried node
+	// did by the time the answer came back — the mismatch resolved
+	// itself while the drill was in flight.
+	EmptyDrills int
 	// RepairRanges counts leaf/node ranges this store served in full to
 	// drilling peers — the range-limited counterpart of RepairShards.
 	RepairRanges int
@@ -194,6 +208,11 @@ type StoreStats struct {
 	// back to whatever the remaining files and anti-entropy provide —
 	// and the store never fails to start over a damaged snapshot.
 	SnapshotRestoreErrors int
+	// RejectedConns counts inbound connections closed by the inbound
+	// caps: a few per configured peer, and as many again shared by the
+	// connections that have not named a configured peer yet. Over a cap
+	// the oldest connection is the one closed.
+	RejectedConns int
 	// WatchDropped counts change notifications dropped because a
 	// watcher's pending buffer was full — a consumer reading its Events
 	// channel too slowly. The watcher itself learns the same fact from
@@ -230,6 +249,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.Frames += o.Frames
 	s.WireBytes += o.WireBytes
 	s.DigestFrames += o.DigestFrames
+	s.AckFrames += o.AckFrames
 	s.PiggybackedDigests += o.PiggybackedDigests
 	s.SplitFrames += o.SplitFrames
 	s.OversizedDropped += o.OversizedDropped
@@ -238,6 +258,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.DedupedWants += o.DedupedWants
 	s.HeldRepairs += o.HeldRepairs
 	s.TreeRounds += o.TreeRounds
+	s.EmptyDrills += o.EmptyDrills
 	s.RepairRanges += o.RepairRanges
 	s.RepairBytes += o.RepairBytes
 	s.DigestShardMismatch += o.DigestShardMismatch
@@ -246,6 +267,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.SnapshotBytes += o.SnapshotBytes
 	s.SnapshotRestoredKeys += o.SnapshotRestoredKeys
 	s.SnapshotRestoreErrors += o.SnapshotRestoreErrors
+	s.RejectedConns += o.RejectedConns
 	s.WatchDropped += o.WatchDropped
 	if o.SyncWorkers > s.SyncWorkers {
 		s.SyncWorkers = o.SyncWorkers // pool widths are not additive
@@ -274,6 +296,10 @@ func (s *StoreStats) Add(o StoreStats) {
 		cur.EnqueuedBytes += ps.EnqueuedBytes
 		cur.Dropped += ps.Dropped
 		cur.DroppedBytes += ps.DroppedBytes
+		cur.DroppedOverflow += ps.DroppedOverflow
+		cur.DroppedDial += ps.DroppedDial
+		cur.DroppedWrite += ps.DroppedWrite
+		cur.DroppedClosing += ps.DroppedClosing
 		cur.Coalesced += ps.Coalesced
 		cur.Reconnects += ps.Reconnects
 		cur.Queued += ps.Queued
@@ -295,19 +321,30 @@ func (s *StoreStats) Add(o StoreStats) {
 type shard struct {
 	mu     sync.Mutex
 	engine protocol.KeyedEngine
-	// od is the same engine through its per-object delivery interface,
-	// asserted once at construction for the frame-delivery hot path.
+	// od is a per-object engine through its per-object delivery
+	// interface, asserted once at construction for the frame-delivery
+	// hot path; nil for a δ-stream.
 	od protocol.ObjectDeliverer
+	// st is the same engine as a δ-stream (EngineAcked), nil for
+	// per-object engines.
+	st *protocol.Stream
 	// dirty marks a shard that needs a Sync visit: touched by a local
-	// update or an inbound delivery since its last visit, or still
-	// emitting (e.g. unacked retransmissions) on that visit.
+	// update or an inbound delivery since its last visit, or — under a
+	// per-object engine — still emitting on that visit. A stream shard
+	// is dirty only while it holds changes no range has carried yet.
 	dirty atomic.Bool
-	// pending marks a shard whose own δs may still be on the wire: set by
-	// a local update, then set on each sync visit to whether that visit
-	// emitted anything (fresh δs, forwards, unacked retransmissions).
-	// Inbound deliveries leave it alone. A peer's digest cannot reflect
-	// δs it has not received yet, so handleDigests holds repair of a
-	// pending shard (bounded by RepairTimeout).
+	// retx marks a stream shard with shipped ranges still unacked: it is
+	// visited every tick so its retransmission timers are checked.
+	retx atomic.Bool
+	// broken mirrors st.Broken(), so a matching digest mends the stream
+	// without taking the lock when nothing is broken.
+	broken atomic.Bool
+	// pending marks a per-object shard whose own δs may still be on the
+	// wire: set by a local update, then set on each sync visit to
+	// whether that visit emitted anything. Inbound deliveries leave it
+	// alone. A peer's digest cannot reflect δs it has not received yet,
+	// so handleDigests holds repair of a pending shard (bounded by
+	// RepairTimeout). Stream shards hold on their streams' state instead.
 	pending atomic.Bool
 	// digest is the shard's content digest as of the last refresh: the
 	// XOR of every cached key hash, which is also the root of the shard's
@@ -339,8 +376,9 @@ type shard struct {
 // idle cluster exchanges only constant-size heartbeats.
 //
 // Store follows the deployment model of the paper's Retwis evaluation:
-// many independent objects, each with its own δ-buffer, synchronized
-// together.
+// many independent objects synchronized together — each with its own
+// δ-buffer under a per-object engine, or through one acknowledged
+// δ-stream per (peer, shard) under an acked engine.
 type Store struct {
 	cfg       StoreConfig
 	net       *peerNet
@@ -372,11 +410,19 @@ type Store struct {
 	// Get/Put cycle never allocates).
 	tickPool   sync.Pool
 	digestVecs chan []uint64
-	stopping   chan struct{}
-	stopOnce   sync.Once
-	wg         sync.WaitGroup // syncLoop + watcher pumps
-	watchMu    sync.RWMutex
-	watchers   []*Watcher
+	// clock reads the time the δ-streams' retransmission timers run on;
+	// time.Now outside tests. lastTick is the clock at the previous
+	// tick, in Unix nanoseconds.
+	clock    func() time.Time
+	lastTick atomic.Int64
+	// acks holds back the stream acks produced while a tick runs, so
+	// they follow that tick's digest vector onto the wire.
+	acks     ackGate
+	stopping chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup // syncLoop + watcher pumps
+	watchMu  sync.RWMutex
+	watchers []*Watcher
 	// watcherCount mirrors len(watchers) for the lock-free hasWatchers
 	// check on the delivery and update hot paths; written under watchMu.
 	watcherCount atomic.Int32
@@ -433,23 +479,29 @@ func startStore(cfg StoreConfig, workers int) (*Store, error) {
 		nodes = append([]string{cfg.ID}, neighbors...)
 		sort.Strings(nodes)
 	}
-	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
+	queueBytes := cfg.PeerQueueBytes
+	if queueBytes <= 0 {
+		queueBytes = defaultPeerQueueBytes
+	}
+	streamOpts := protocol.StreamOptions{
+		Chunk: min(maxMsgFor(cfg.MaxFrameBytes, cfg.ID)/2, repairChunkBytes),
+		// A peer owing acks for more than its queue's share of a shard
+		// is not catching up by retransmission: cut it over to repair.
+		MaxLag: max(minStreamLag, queueBytes/cfg.Shards),
+	}
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		eng := factory(protocol.Config{
+		keyed := protocol.NewShardEngine(cfg.Factory, cfg.ObjType, protocol.Config{
 			ID:        cfg.ID,
 			Neighbors: neighbors,
 			Nodes:     nodes,
-		})
-		keyed, ok := eng.(protocol.KeyedEngine)
-		if !ok {
-			return nil, fmt.Errorf("transport: per-object engine does not implement KeyedEngine")
-		}
-		od, ok := eng.(protocol.ObjectDeliverer)
-		if !ok {
+		}, streamOpts)
+		st, _ := keyed.(*protocol.Stream)
+		od, ok := keyed.(protocol.ObjectDeliverer)
+		if !ok && st == nil {
 			return nil, fmt.Errorf("transport: per-object engine does not implement ObjectDeliverer")
 		}
-		shards[i] = &shard{engine: keyed, od: od, hashes: make(map[string]*keyHash), changed: changedEnd}
+		shards[i] = &shard{engine: keyed, od: od, st: st, hashes: make(map[string]*keyHash), changed: changedEnd}
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -478,6 +530,7 @@ func startStore(cfg StoreConfig, workers int) (*Store, error) {
 		shards:    shards,
 		mask:      uint32(cfg.Shards - 1),
 		neighbors: neighbors,
+		clock:     time.Now,
 		stopping:  make(chan struct{}),
 	}
 	s.workers = workers
@@ -601,20 +654,6 @@ func (s *Store) Keys() []string {
 	return all
 }
 
-// shardDigests returns the per-shard digest vector in a pooled slice;
-// callers hand it back with putDigestVec once no frame can reference it
-// (packing copies the vector into frame bytes synchronously). Clean
-// shards — all of them, on an idle store — are read lock-free, and the
-// fill is allocation-free; a changed shard rehashes only its changed
-// keys.
-func (s *Store) shardDigests() []uint64 {
-	vec := s.getDigestVec()
-	for i, sh := range s.shards {
-		vec[i] = sh.contentDigest()
-	}
-	return vec
-}
-
 // Digest combines the per-shard digests into one 64-bit value. Two stores
 // with the same shard count that hold the same keyspace in the same
 // states produce equal digests, making convergence checks cheap without
@@ -660,6 +699,7 @@ func (s *Store) Stats() StoreStats {
 	st := s.stats
 	s.statsMu.Unlock()
 	st.Peers = s.net.peerStats()
+	st.RejectedConns = s.net.rejectedConns()
 	st.SyncWorkers = s.workers
 	st.SyncWorkerShards = make([]uint64, s.workers)
 	st.SyncWorkerBusyNs = make([]int64, s.workers)
@@ -739,6 +779,8 @@ type deliverState struct {
 	// seen is serveWants' shard-dedup scratch, pooled so hostile or
 	// chatty peers don't drive a per-frame allocation.
 	seen []bool
+	// acks collects the frame's stream acks, one per touched shard.
+	acks []protocol.ShardItem
 }
 
 // seenShards returns the dedup scratch cleared and sized to n shards.
@@ -761,6 +803,8 @@ func getDeliverState() *deliverState { return deliverStates.Get().(*deliverState
 
 func (d *deliverState) release() {
 	d.b.reset()
+	clear(d.acks)
+	d.acks = d.acks[:0]
 	d.sink.key = nil // never pin a frame buffer across frames
 	deliverStates.Put(d)
 }
@@ -804,25 +848,30 @@ func (d *replySink) flush(b *outBatch) {
 // keyspace — are skipped without taking their locks, so the tick is
 // O(dirty shards). The per-shard work — engine.Sync plus item capture
 // and encoding — fans out across the shard-work pool, with frame bytes
-// independent of its width. Every
-// DigestEvery ticks the per-shard digest vector goes out with the same
-// flush: piggybacked on a data frame to each peer that is getting one
-// anyway, as a standalone heartbeat only to peers the tick has nothing
-// else to say to (every peer, on an idle tick).
+// independent of its width. Every DigestEvery ticks the per-shard digest
+// vector goes out with the same flush: piggybacked on a data frame to
+// each peer that is getting one anyway, as a standalone heartbeat only
+// to peers the tick has nothing else to say to (every peer, on an idle
+// tick). On those ticks every δ-stream shard's digest is read under the
+// lock of the same visit that ships its δs, so the vector describes
+// exactly what the tick's frames carry.
 func (s *Store) SyncNow() {
+	s.acks.begin()
+	defer s.acks.end(s)
+	s.revive()
 	d := getDeliverState()
 	defer d.release()
 	b := d.b
-	if ts := s.collectTick(b); ts != nil {
-		// The batch's pre-encoded bytes point into the scratch arenas;
-		// release only after flush below has packed them into frames.
-		defer s.releaseTickScratch(ts)
-	}
 	tick := s.ticks.Add(1)
 	var vec []uint64
 	if every := uint64(s.cfg.DigestEvery); every > 0 && tick%every == 0 {
-		vec = s.shardDigests()
+		vec = s.getDigestVec()
 		defer s.putDigestVec(vec)
+	}
+	if ts := s.collectTick(b, vec); ts != nil {
+		// The batch's pre-encoded bytes point into the scratch arenas;
+		// release only after flush below has packed them into frames.
+		defer s.releaseTickScratch(ts)
 	}
 	covered := s.flush(b, vec)
 	if vec == nil {
@@ -844,49 +893,82 @@ func (s *Store) SyncNow() {
 
 // collectTick runs the per-shard sync stage, accumulating every engine
 // emission on b in ascending shard order. Workers claim shards off the
-// shared cursor, run engine.Sync on each dirty one under its lock and
-// capture the emissions privately — encoding each into the shard's arena
-// as it is captured, so the per-item codec work rides the pool too — and
-// the merge replays them in shard order. Per-destination item sequences,
-// and therefore packed frame bytes, are the same at every pool width
-// (pinned by the determinism test).
+// shared cursor, run the engine's sync step on each shard that needs a
+// visit under its lock and capture the emissions privately — encoding
+// each into the shard's arena as it is captured, so the per-item codec
+// work rides the pool too — and the merge replays them in shard order.
+// Per-destination item sequences, and therefore packed frame bytes, are
+// the same at every pool width (pinned by the determinism test). When
+// vec is non-nil it is filled with the shard digests: a δ-stream shard's
+// under the lock hold of its visit, since its peers hold repair exactly
+// on what its ranges have carried; a per-object shard that needs no
+// visit is read lock-free, as is every shard of an idle per-object store
+// (allocation-free), and a changed shard rehashes only its changed keys.
 //
-// The returned scratch is nil only when no shard was dirty; otherwise
+// The returned scratch is nil only when no shard needed work; otherwise
 // the caller must hand it to releaseTickScratch only after flush has
 // consumed b (the pre-encoded bytes live in the scratch arenas).
-func (s *Store) collectTick(b *outBatch) *tickScratch {
-	if !slices.ContainsFunc(s.shards, func(sh *shard) bool { return sh.dirty.Load() }) {
+func (s *Store) collectTick(b *outBatch, vec []uint64) *tickScratch {
+	now := s.clock()
+	// The retransmission timeouts allow one tick of ack delay: the
+	// configured period, or the actual one when ticks are driven faster
+	// by hand.
+	tick := s.cfg.SyncEvery
+	if prev := s.lastTick.Swap(now.UnixNano()); prev != 0 && now.UnixNano() > prev {
+		tick = min(tick, time.Duration(now.UnixNano()-prev))
+	}
+	streams := s.shards[0].st != nil
+	if (vec == nil || !streams) && !slices.ContainsFunc(s.shards, (*shard).needsVisit) {
+		for i := range vec {
+			vec[i] = s.shards[i].contentDigest()
+		}
 		return nil
 	}
 	ts := s.tickPool.Get().(*tickScratch)
 	s.runShardStage(func(_, i int) {
 		sh := s.shards[i]
-		if !sh.dirty.Load() {
+		visit := sh.needsVisit()
+		if !visit && (vec == nil || sh.st == nil) {
+			if vec != nil {
+				vec[i] = sh.contentDigest()
+			}
 			return
 		}
 		out := ts.emits[i][:0]
 		buf := ts.bufs[i][:0]
 		sh.mu.Lock()
-		sh.dirty.Store(false)
-		emitted := false
-		sh.engine.Sync(func(to string, m protocol.Msg) {
-			emitted = true
-			start := len(buf)
-			var err error
-			buf, err = codec.AppendShardItem(buf, protocol.ShardItem{Shard: uint32(i), Msg: m})
-			if err != nil {
-				// An engine emitted a message the codec cannot encode: a
-				// programming error in the engine/codec pairing.
-				panic(err)
+		if visit {
+			sh.dirty.Store(false)
+			emitted := false
+			emit := func(to string, m protocol.Msg) {
+				emitted = true
+				start := len(buf)
+				var err error
+				buf, err = codec.AppendShardItem(buf, protocol.ShardItem{Shard: uint32(i), Msg: m})
+				if err != nil {
+					// An engine emitted a message the codec cannot encode:
+					// a programming error in the engine/codec pairing.
+					panic(err)
+				}
+				out = append(out, tickEmit{to: to, m: m, enc: buf[start:]})
 			}
-			out = append(out, tickEmit{to: to, m: m, enc: buf[start:]})
-		})
-		if emitted {
-			// The engine may need to emit again (unacked
-			// retransmissions, Scuttlebutt digests): revisit next tick.
-			sh.dirty.Store(true)
+			if sh.st != nil {
+				sh.st.SyncAt(now, tick, emit)
+				sh.retx.Store(sh.st.Outstanding())
+				sh.broken.Store(sh.st.Broken())
+			} else {
+				sh.engine.Sync(emit)
+				if emitted {
+					// The engine may need to emit again (Scuttlebutt
+					// digests, say): revisit next tick.
+					sh.dirty.Store(true)
+				}
+				sh.pending.Store(emitted)
+			}
 		}
-		sh.pending.Store(emitted)
+		if vec != nil {
+			vec[i] = sh.refreshLocked()
+		}
 		sh.mu.Unlock()
 		ts.emits[i] = out
 		ts.bufs[i] = buf
@@ -898,6 +980,10 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 	}
 	return ts
 }
+
+// needsVisit reports whether a tick must run the shard's sync step:
+// it holds unsent changes, or unacked ranges whose timers need checking.
+func (sh *shard) needsVisit() bool { return sh.dirty.Load() || sh.retx.Load() }
 
 // flush packs the accumulated items into bounded frames per destination
 // and transmits them; vec, when non-nil, is piggybacked onto one frame
@@ -959,6 +1045,8 @@ const (
 	frameDigest
 	// framePiggyback carries shard items plus the digest vector.
 	framePiggyback
+	// frameAck carries δ-stream acks only.
+	frameAck
 )
 
 // transmit enqueues one frame onto the peer's write pipeline and records
@@ -982,6 +1070,8 @@ func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind
 		s.stats.DigestFrames++
 	case framePiggyback:
 		s.stats.PiggybackedDigests++
+	case frameAck:
+		s.stats.AckFrames++
 	}
 	s.stats.Sent.Add(cost)
 	s.statsMu.Unlock()
@@ -1015,7 +1105,9 @@ func (s *Store) deliver(from string, frame []byte) error {
 // inline on the read goroutine: transmit is a non-blocking enqueue onto
 // the per-peer write pipelines, so no TCP write happens here and two
 // nodes with mutually full send buffers cannot deadlock each other — the
-// hazard that used to force a goroutine per inbound frame.
+// hazard that used to force a goroutine per inbound frame. δ-stream
+// ranges are acknowledged as soon as the frame is applied, one
+// cumulative watermark per touched shard in one compact frame.
 func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 	d := getDeliverState()
 	defer d.release()
@@ -1024,36 +1116,24 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 	for _, g := range v.Groups() {
 		sh := s.shards[g.Shard]
 		d.sink.shard = g.Shard
+		data := false
 		sh.mu.Lock()
 		s.deliverLocks.Add(1)
-		for i := range g.Items {
-			iv := &g.Items[i]
-			m, err := iv.Msg()
-			if err != nil {
-				// The skip walker accepted what the decoder rejects: a
-				// codec bug, surfaced loudly by dropping the connection.
-				// The partial application is harmless — deliveries are
-				// idempotent joins and the peer resends on reconnect.
-				derr = err
-				break
-			}
-			if iv.Key == nil {
-				// A keyless (non-batch) item: hand it to the engine whole,
-				// exactly as the eager path did (perObject ignores it).
-				sh.engine.Deliver(from, m, d.b.sender(g.Shard))
-				continue
-			}
-			d.sink.key = iv.Key
-			sh.od.DeliverObject(from, iv.Key, m, d.send)
-			sh.markKeyBytes(iv.Key)
+		if sh.st != nil {
+			data, derr = s.applyStream(sh, from, g, d)
+		} else {
+			data = true
+			derr = s.applyObjects(sh, from, g, d)
+			sh.dirty.Store(true)
 		}
-		sh.dirty.Store(true)
 		sh.mu.Unlock()
 		d.sink.flush(d.b)
-		// Data from the peer a repair was requested from completes that
-		// repair (the inner engines may also clear it incidentally with
-		// ordinary deltas; the next heartbeat then re-evaluates).
-		s.repair.clearFrom(int(g.Shard), from)
+		if data {
+			// Data from the peer a repair was requested from completes
+			// that repair (ordinary deltas may also clear it
+			// incidentally; the next heartbeat then re-evaluates).
+			s.repair.clearFrom(int(g.Shard), from)
+		}
 		if derr != nil {
 			break
 		}
@@ -1073,13 +1153,102 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		// mid-decode gets no such trust: its digests are skipped.
 		s.handleDigests(from, v.Digests)
 	}
-	// Flush even on error: the replies coalesced here belong to shard
-	// groups that were fully applied — dropping them would discard real
+	// Flush even on error: the replies and acks coalesced here belong to
+	// shard groups that were fully applied — dropping them would discard
 	// acks and pull replies the peers are owed.
 	if len(d.b.order) > 0 {
 		s.flush(d.b, nil)
 	}
+	if len(d.acks) > 0 {
+		s.acks.send(s, from, d.acks)
+	}
 	return derr
+}
+
+// applyObjects applies one shard group to a per-object engine. Caller
+// holds sh.mu.
+func (s *Store) applyObjects(sh *shard, from string, g codec.ItemGroup, d *deliverState) error {
+	for i := range g.Items {
+		iv := &g.Items[i]
+		m, err := iv.Msg()
+		if err != nil {
+			// The skip walker accepted what the decoder rejects: a codec
+			// bug, surfaced loudly by dropping the connection. The
+			// partial application is harmless — deliveries are
+			// idempotent joins and the peer resends on reconnect.
+			return err
+		}
+		if iv.Key == nil {
+			// A keyless (non-batch) item: hand it to the engine whole,
+			// exactly as the eager path did (perObject ignores it).
+			sh.engine.Deliver(from, m, d.b.sender(g.Shard))
+			continue
+		}
+		d.sink.key = iv.Key
+		sh.od.DeliverObject(from, iv.Key, m, d.send)
+		sh.markKeyBytes(iv.Key)
+	}
+	return nil
+}
+
+// applyStream applies one shard group to a δ-stream shard: each range's
+// keys are joined in, then the range advances the peer's receive
+// watermark; acks advance the outbound streams. When the group carried
+// ranges, the shard's watermark is queued on d.acks. It reports whether
+// the group carried object data. Caller holds sh.mu.
+func (s *Store) applyStream(sh *shard, from string, g codec.ItemGroup, d *deliverState) (data bool, err error) {
+	var rng *codec.ItemView
+	var wm uint64
+	acked, changed, known := false, false, false
+	received := func() {
+		if rng != nil {
+			wm, known = sh.st.Received(from, rng.Start, rng.End)
+		}
+	}
+	for i := range g.Items {
+		iv := &g.Items[i]
+		if iv.IsRange() {
+			received()
+			rng = iv
+			continue
+		}
+		if seq, ok := iv.Ack(); ok {
+			sh.st.Ack(from, seq, s.clock())
+			acked = true
+			continue
+		}
+		if iv.Key == nil {
+			continue // a bare engine message: the stream has none
+		}
+		data = true
+		delta, err := iv.State()
+		if err != nil {
+			s.streamApplied(sh, changed, acked)
+			return data, err // a codec bug, as in applyObjects
+		}
+		if delta != nil && sh.st.Apply(from, iv.Key, delta) {
+			sh.markKeyBytes(iv.Key)
+			changed = true
+		}
+	}
+	received()
+	s.streamApplied(sh, changed, acked)
+	if known {
+		d.acks = append(d.acks, protocol.ShardItem{Shard: g.Shard, Msg: &protocol.StreamAckMsg{Seq: wm}})
+	}
+	return data, nil
+}
+
+// streamApplied refreshes a stream shard's lock-free flags after a
+// delivery. Caller holds sh.mu.
+func (s *Store) streamApplied(sh *shard, changed, acked bool) {
+	if changed {
+		sh.dirty.Store(true)
+	}
+	if acked {
+		sh.retx.Store(sh.st.Outstanding())
+	}
+	sh.broken.Store(sh.st.Broken())
 }
 
 // notifyGroup offers the keys one shard group's items touched to the

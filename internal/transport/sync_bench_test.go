@@ -69,11 +69,13 @@ func BenchmarkSyncTick(b *testing.B) {
 	b.Run("pool", run(func() int { return runtime.GOMAXPROCS(0) }))
 }
 
-// BenchmarkDigestVector measures a digest-vector refresh on a
-// 20,000-key, 64-shard store after touching one key ("one") and after
-// touching every key ("all"). A refresh rehashes only the changed keys,
-// so "one" stays flat as the keyspace grows while "all" scales with it.
-// Counters keep every state the same size however often it is touched.
+// BenchmarkDigestVector measures a digest tick's collect stage
+// (collectTick with a vector) on a 20,000-key, 64-shard per-object store
+// after touching one key ("one") and after touching every key ("all"):
+// the touched shards are visited and rehash only their changed keys, the
+// rest are read lock-free, so "one" stays flat as the keyspace grows
+// while "all" scales with it. Counters keep every state the same size
+// however often it is touched.
 func BenchmarkDigestVector(b *testing.B) {
 	const keys = 20000
 	run := func(touched int) func(*testing.B) {
@@ -95,7 +97,16 @@ func BenchmarkDigestVector(b *testing.B) {
 				ops[k] = workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%05d", k), N: 1}
 				s.Update(ops[k])
 			}
-			s.putDigestVec(s.shardDigests()) // hash every key, seed the free list
+			b0 := newOutBatch()
+			tick := func() {
+				vec := s.getDigestVec()
+				if ts := s.collectTick(b0, vec); ts != nil {
+					s.releaseTickScratch(ts)
+				}
+				b0.reset()
+				s.putDigestVec(vec)
+			}
+			tick() // hash every key, seed the free list
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -104,7 +115,7 @@ func BenchmarkDigestVector(b *testing.B) {
 					s.Update(ops[(i+k)%keys])
 				}
 				b.StartTimer()
-				s.putDigestVec(s.shardDigests())
+				tick()
 			}
 		}
 	}
